@@ -122,8 +122,9 @@ Status DurableIndex::Insert(const Object& object) {
   {
     WriterLock lock(&mutex_);
     // Enforce before logging what the inner indexes only assume: strictly
-    // increasing ids (Section 5.5) and a well-formed interval (an inverted
-    // one would be flagged as corruption by the log decoder).
+    // increasing ids (Section 5.5), a well-formed interval and element ids
+    // below kElementIdLimit (the log decoder flags an inverted interval or
+    // an out-of-range element as corruption, truncating what follows).
     if (object.id < next_object_id_) {
       return Status::AlreadyExists(
           "object id " + std::to_string(object.id) +
@@ -133,6 +134,7 @@ Status DurableIndex::Insert(const Object& object) {
     if (object.interval.st > object.interval.end) {
       return Status::InvalidArgument("interval start exceeds end");
     }
+    IRHINT_RETURN_NOT_OK(CheckElementIds(object));
     auto lsn = writer_->AppendInsert(object);
     IRHINT_RETURN_NOT_OK(lsn.status());
     // The id is burned from here on, even if the apply fails — replay
@@ -167,6 +169,7 @@ Status DurableIndex::Erase(const Object& object) {
     if (object.interval.st > object.interval.end) {
       return Status::InvalidArgument("interval start exceeds end");
     }
+    IRHINT_RETURN_NOT_OK(CheckElementIds(object));
     auto lsn = writer_->AppendErase(object);
     IRHINT_RETURN_NOT_OK(lsn.status());
     IRHINT_RETURN_NOT_OK(inner_->Erase(object));

@@ -136,6 +136,22 @@ class CountingTemporalIrIndex : public TemporalIrIndex {
   CounterSink counters_;
 };
 
+/// \brief The element-id check shared by the update entry points that
+/// take objects from callers (DurableIndex before it logs, ServeEngine
+/// before it routes). Per-element tables grow out to the largest id, and
+/// WAL replay rejects ids at or past kElementIdLimit as corruption, so
+/// such an id is refused up front instead of being logged or allocated.
+inline Status CheckElementIds(const Object& object) {
+  for (const ElementId e : object.elements) {
+    if (e >= kElementIdLimit) {
+      return Status::InvalidArgument(
+          "element id " + std::to_string(e) + " is at or past the limit " +
+          std::to_string(kElementIdLimit));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace irhint
 
 #endif  // IRHINT_CORE_TEMPORAL_IR_INDEX_H_

@@ -295,6 +295,9 @@ StatusOr<std::vector<ScoredHit>> ServeEngine::ExecuteTopK(const Query& query,
 }
 
 Status ServeEngine::RunUpdate(bool erase, const Object& object) {
+  // Refused here, not on the shard workers: an in-memory index would grow
+  // its per-element tables out to the id first (32 GiB at 2^32 - 1).
+  IRHINT_RETURN_NOT_OK(CheckElementIds(object));
   std::vector<Shard*> targets;
   RouteObject(object, &targets);
   auto state = std::make_shared<ResultState>(

@@ -11,8 +11,9 @@
 // A query fans out only to the time shards overlapping its interval, and
 // within each to the bucket of its first element (all buckets for
 // element-less queries). The future merges per-shard ids deterministically
-// (sort + dedup), so results are byte-identical to a 1-shard engine for
-// any shard/bucket/thread count.
+// into sorted, duplicate-free ids (serve/result_future.h: a bitmap scan
+// for dense results, sort + unique for sparse ones), so results are
+// byte-identical to a 1-shard engine for any shard/bucket/thread count.
 //
 // Updates: Insert/Erase route to the same shard set as placement and ride
 // the per-shard queues (the worker is the only thread touching its index,
@@ -125,7 +126,9 @@ class ServeEngine {
   // -- Update path (single writer, Section 5.5 model) -----------------------
 
   /// \brief Route an insert to every covering shard and wait for it to
-  /// apply. `object.id` must exceed every id inserted so far.
+  /// apply. `object.id` must exceed every id inserted so far, and element
+  /// ids must be below kElementIdLimit (InvalidArgument otherwise, as for
+  /// Erase).
   Status Insert(const Object& object);
 
   /// \brief Convenience for live ingestion: assigns the next global id.

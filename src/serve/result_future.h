@@ -1,23 +1,30 @@
 // Completion futures shared between the query router and the shard
-// workers. A routed request owns one ResultState with one "leg" per
-// target shard; legs complete (or fail) in any order on the shard worker
-// threads, and the submitting client blocks in ResultFuture::Get() until
-// every leg has landed. The merge is deterministic: per-leg id vectors
-// are concatenated, sorted and deduplicated, so the final result is
+// workers. A routed request owns one LegState with one "leg" per target
+// shard; legs complete (or fail) in any order on the shard worker
+// threads, and the submitting client blocks in LegFuture::Get() until
+// every leg has landed. Get() then merges the legs on the client's
+// thread. The merge is deterministic, so the final result is
 // byte-identical for any shard count, bucket count, thread count or
-// completion order (the property tests/serve_test.cc locks in).
+// completion order (the property tests/serve_test.cc locks in). The hit
+// type selects the merge and nothing else:
+//   * ObjectId (Boolean queries; updates carry empty legs): MergeIds,
+//     sorted and duplicate-free ids;
+//   * ScoredHit (ranked top-k, DESIGN.md §12): MergeTopK, the global
+//     top-k in ranked order.
 //
 // Concurrency (DESIGN.md §11): one leaf Mutex per state object,
-// "serve::ResultState::mu" — it is never held while acquiring another
-// lock (completion copies the payload in, Get() moves it out), so it
-// cannot participate in a cycle.
+// "serve::LegState::mu" — it is never held while acquiring another lock
+// (completion moves the payload in, Wait() moves the legs out and merges
+// after releasing it), so it cannot participate in a cycle.
 
 #ifndef IRHINT_SERVE_RESULT_FUTURE_H_
 #define IRHINT_SERVE_RESULT_FUTURE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,23 +36,94 @@
 namespace irhint {
 namespace serve {
 
+/// \brief The Boolean merge's path rule, from the id count (duplicates
+/// included) and the largest id alone. Dense: a bitmap over [0, max_id]
+/// holds at most four 64-bit words per id, so setting and scanning it is
+/// linear in `total`; at that density it beat sort + unique at every
+/// id-space size measured (EXPERIMENTS.md). Otherwise the ids are sorted,
+/// which never allocates in proportion to the id space.
+inline bool MergeIsDense(size_t total, ObjectId max_id) {
+  return max_id / 256 <= total;
+}
+
+/// \brief Union of Boolean legs as sorted, duplicate-free ids. Legs come
+/// in any order and may overlap (an object replicated into several
+/// shards). Global ids are dense in [0, N), so wide results take the
+/// bitmap path of MergeIsDense; narrow ones sort + unique.
+inline std::vector<ObjectId> MergeIds(std::vector<std::vector<ObjectId>> legs) {
+  size_t total = 0;
+  ObjectId max_id = 0;
+  for (const std::vector<ObjectId>& leg : legs) {
+    total += leg.size();
+    for (const ObjectId id : leg) max_id = std::max(max_id, id);
+  }
+  if (total == 0) return {};
+  if (!MergeIsDense(total, max_id)) {
+    std::vector<ObjectId> merged = std::move(legs.front());
+    for (size_t i = 1; i < legs.size(); ++i) {
+      merged.insert(merged.end(), legs[i].begin(), legs[i].end());
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    return merged;
+  }
+  std::vector<uint64_t> bits(static_cast<size_t>(max_id) / 64 + 1, 0);
+  for (const std::vector<ObjectId>& leg : legs) {
+    for (const ObjectId id : leg) bits[id / 64] |= uint64_t{1} << (id % 64);
+  }
+  // The output reuses the first leg's buffer (a lone leg's already fits).
+  std::vector<ObjectId> merged = std::move(legs.front());
+  merged.clear();
+  merged.reserve(total);
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      merged.push_back(static_cast<ObjectId>(w * 64 + std::countr_zero(word)));
+    }
+  }
+  return merged;
+}
+
+/// \brief Union of top-k legs as the global top-k. Replicas of an object
+/// across shards report identical scores (shards hold whole objects and
+/// impacts are a pure function of term and interval), so the merge
+/// dedups by id, re-sorts by the ranked total order (score desc, id asc)
+/// and truncates to k — byte-identical to a 1-shard engine.
+inline std::vector<ScoredHit> MergeTopK(
+    std::vector<std::vector<ScoredHit>> legs, uint32_t k) {
+  std::vector<ScoredHit> merged;
+  for (const std::vector<ScoredHit>& leg : legs) {
+    merged.insert(merged.end(), leg.begin(), leg.end());
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const ScoredHit& a, const ScoredHit& b) { return a.id < b.id; });
+  merged.erase(std::unique(merged.begin(), merged.end(),
+                           [](const ScoredHit& a, const ScoredHit& b) {
+                             return a.id == b.id;
+                           }),
+               merged.end());
+  std::sort(merged.begin(), merged.end(), ScoredBetter);
+  if (merged.size() > static_cast<size_t>(k)) merged.resize(k);
+  return merged;
+}
+
 /// \brief Shared completion state of one routed request.
 ///
 /// Constructed with the number of legs (target shards); every leg must be
-/// resolved exactly once via CompleteLeg() or FailLeg(). Queries carry id
-/// payloads; updates use empty payloads and only the status matters.
-class ResultState {
+/// resolved exactly once via CompleteLeg() or FailLeg().
+template <typename Hit>
+class LegState {
  public:
-  explicit ResultState(uint32_t legs) : pending_(legs) {}
+  /// \param k  the ranked cut-off; only the top-k merge reads it.
+  explicit LegState(uint32_t legs, uint32_t k = 0) : pending_(legs), k_(k) {}
 
-  ResultState(const ResultState&) = delete;
-  ResultState& operator=(const ResultState&) = delete;
+  LegState(const LegState&) = delete;
+  LegState& operator=(const LegState&) = delete;
 
-  /// \brief Resolve one leg with the ids a shard reported (global ids;
+  /// \brief Resolve one leg with the hits a shard reported (global ids;
   /// replicas across shards are deduplicated by the final merge).
-  void CompleteLeg(std::vector<ObjectId> ids) {
+  void CompleteLeg(std::vector<Hit> hits) {
     MutexLock lock(&mu_);
-    legs_.push_back(std::move(ids));
+    legs_.push_back(std::move(hits));
     FinishLegLocked();
   }
 
@@ -59,22 +137,20 @@ class ResultState {
   }
 
   /// \brief Block until every leg resolved; single consumer. Returns the
-  /// first leg failure, or the merged (sorted, duplicate-free) ids.
-  StatusOr<std::vector<ObjectId>> Wait() {
-    MutexLock lock(&mu_);
-    while (pending_ > 0) cv_.Wait(&mu_);
-    if (!error_.ok()) return error_;
-    size_t total = 0;
-    for (const std::vector<ObjectId>& leg : legs_) total += leg.size();
-    std::vector<ObjectId> merged;
-    merged.reserve(total);
-    for (std::vector<ObjectId>& leg : legs_) {
-      merged.insert(merged.end(), leg.begin(), leg.end());
+  /// first leg failure, or the merged hits (see MergeIds / MergeTopK).
+  StatusOr<std::vector<Hit>> Wait() {
+    std::vector<std::vector<Hit>> legs;
+    {
+      MutexLock lock(&mu_);
+      while (pending_ > 0) cv_.Wait(&mu_);
+      if (!error_.ok()) return error_;
+      legs.swap(legs_);
     }
-    legs_.clear();
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
+    if constexpr (std::is_same_v<Hit, ScoredHit>) {
+      return MergeTopK(std::move(legs), k_);
+    } else {
+      return MergeIds(std::move(legs));
+    }
   }
 
   /// \brief True once every leg has resolved (non-blocking probe).
@@ -89,132 +165,43 @@ class ResultState {
     if (pending_ == 0) cv_.NotifyAll();
   }
 
-  mutable Mutex mu_{"serve::ResultState::mu"};
-  CondVar cv_;
-  uint32_t pending_ IRHINT_GUARDED_BY(mu_) = 0;
-  std::vector<std::vector<ObjectId>> legs_ IRHINT_GUARDED_BY(mu_);
-  Status error_ IRHINT_GUARDED_BY(mu_);
-};
-
-/// \brief Shared completion state of one routed top-k request
-/// (DESIGN.md §12). Same leg protocol as ResultState, but legs carry
-/// (id, score) hits and the merge keeps the ranked order: replicas of an
-/// object across shards report identical scores (shards hold whole
-/// objects and impacts are a pure function of term and interval), so the
-/// merge dedups by id, re-sorts by the ranked total order (score desc,
-/// id asc) and truncates to k — byte-identical to a 1-shard engine.
-class TopKState {
- public:
-  TopKState(uint32_t legs, uint32_t k) : pending_(legs), k_(k) {}
-
-  TopKState(const TopKState&) = delete;
-  TopKState& operator=(const TopKState&) = delete;
-
-  /// \brief Resolve one leg with a shard's local top-k (global ids).
-  void CompleteLeg(std::vector<ScoredHit> hits) {
-    MutexLock lock(&mu_);
-    legs_.push_back(std::move(hits));
-    FinishLegLocked();
-  }
-
-  /// \brief Resolve one leg as failed; first failure wins, all legs are
-  /// still awaited.
-  void FailLeg(const Status& status) {
-    MutexLock lock(&mu_);
-    if (error_.ok() && !status.ok()) error_ = status;
-    FinishLegLocked();
-  }
-
-  /// \brief Block until every leg resolved; single consumer. Returns the
-  /// first leg failure, or the merged global top-k.
-  StatusOr<std::vector<ScoredHit>> Wait() {
-    MutexLock lock(&mu_);
-    while (pending_ > 0) cv_.Wait(&mu_);
-    if (!error_.ok()) return error_;
-    std::vector<ScoredHit> merged;
-    for (std::vector<ScoredHit>& leg : legs_) {
-      merged.insert(merged.end(), leg.begin(), leg.end());
-    }
-    legs_.clear();
-    std::sort(merged.begin(), merged.end(),
-              [](const ScoredHit& a, const ScoredHit& b) {
-                return a.id < b.id;
-              });
-    merged.erase(std::unique(merged.begin(), merged.end(),
-                             [](const ScoredHit& a, const ScoredHit& b) {
-                               return a.id == b.id;
-                             }),
-                 merged.end());
-    std::sort(merged.begin(), merged.end(), ScoredBetter);
-    if (merged.size() > static_cast<size_t>(k_)) merged.resize(k_);
-    return merged;
-  }
-
-  bool Ready() const {
-    MutexLock lock(&mu_);
-    return (pending_ == 0);
-  }
-
- private:
-  void FinishLegLocked() IRHINT_REQUIRES(mu_) {
-    if (pending_ > 0) --pending_;
-    if (pending_ == 0) cv_.NotifyAll();
-  }
-
-  mutable Mutex mu_{"serve::ResultState::mu"};
+  mutable Mutex mu_{"serve::LegState::mu"};
   CondVar cv_;
   uint32_t pending_ IRHINT_GUARDED_BY(mu_) = 0;
   const uint32_t k_;  // unguarded: immutable after construction
-  std::vector<std::vector<ScoredHit>> legs_ IRHINT_GUARDED_BY(mu_);
+  std::vector<std::vector<Hit>> legs_ IRHINT_GUARDED_BY(mu_);
   Status error_ IRHINT_GUARDED_BY(mu_);
 };
 
 /// \brief Client-side handle on a submitted request. Move-friendly thin
 /// wrapper; Get() blocks until the router's legs are all resolved.
-class ResultFuture {
+template <typename Hit>
+class LegFuture {
  public:
-  ResultFuture() = default;
-  explicit ResultFuture(std::shared_ptr<ResultState> state)
+  LegFuture() = default;
+  explicit LegFuture(std::shared_ptr<LegState<Hit>> state)
       : state_(std::move(state)) {}
 
   bool valid() const { return state_ != nullptr; }
   bool Ready() const { return state_ != nullptr && state_->Ready(); }
 
-  /// \brief Block for the merged result (see ResultState::Wait).
-  StatusOr<std::vector<ObjectId>> Get() {
+  /// \brief Block for the merged result (see LegState::Wait).
+  StatusOr<std::vector<Hit>> Get() {
     if (state_ == nullptr) {
-      return Status::InvalidArgument("Get() on an empty ResultFuture");
+      return Status::InvalidArgument("Get() on an empty future");
     }
     return state_->Wait();
   }
 
  private:
   // unguarded: owned by the single client thread holding the future
-  std::shared_ptr<ResultState> state_;
+  std::shared_ptr<LegState<Hit>> state_;
 };
 
-/// \brief Client-side handle on a submitted top-k request.
-class TopKFuture {
- public:
-  TopKFuture() = default;
-  explicit TopKFuture(std::shared_ptr<TopKState> state)
-      : state_(std::move(state)) {}
-
-  bool valid() const { return state_ != nullptr; }
-  bool Ready() const { return state_ != nullptr && state_->Ready(); }
-
-  /// \brief Block for the merged ranked result (see TopKState::Wait).
-  StatusOr<std::vector<ScoredHit>> Get() {
-    if (state_ == nullptr) {
-      return Status::InvalidArgument("Get() on an empty TopKFuture");
-    }
-    return state_->Wait();
-  }
-
- private:
-  // unguarded: owned by the single client thread holding the future
-  std::shared_ptr<TopKState> state_;
-};
+using ResultState = LegState<ObjectId>;
+using TopKState = LegState<ScoredHit>;
+using ResultFuture = LegFuture<ObjectId>;
+using TopKFuture = LegFuture<ScoredHit>;
 
 }  // namespace serve
 }  // namespace irhint

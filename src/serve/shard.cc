@@ -215,23 +215,32 @@ void Shard::ExecuteBatch(std::vector<Request>* batch) {
                      return QueryLess((*batch)[a].query, (*batch)[b].query);
                    });
   std::vector<ObjectId> local_ids;
-  std::vector<ObjectId> global_ids;
-  for (size_t i = 0; i < query_indices.size(); ++i) {
-    Request& request = (*batch)[query_indices[i]];
-    if (i > 0 &&
-        QueryEqual(request.query, (*batch)[query_indices[i - 1]].query)) {
-      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      index_->Query(request.query, &local_ids);
-      executed_queries_.fetch_add(1, std::memory_order_relaxed);
-      global_ids.clear();
-      global_ids.reserve(local_ids.size());
-      for (const ObjectId local : local_ids) {
-        global_ids.push_back(id_map_[local]);
-      }
+  for (size_t first = 0; first < query_indices.size();) {
+    const Query& query = (*batch)[query_indices[first]].query;
+    size_t end = first + 1;
+    while (end < query_indices.size() &&
+           QueryEqual(query, (*batch)[query_indices[end]].query)) {
+      ++end;
     }
-    request.result->CompleteLeg(global_ids);
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    index_->Query(query, &local_ids);
+    executed_queries_.fetch_add(1, std::memory_order_relaxed);
+    if (end - first > 1) {
+      dedup_hits_.fetch_add(end - first - 1, std::memory_order_relaxed);
+    }
+    std::vector<ObjectId> global_ids;
+    global_ids.reserve(local_ids.size());
+    for (const ObjectId local : local_ids) {
+      global_ids.push_back(id_map_[local]);
+    }
+    // Batched duplicates get copies; the last request of the group takes
+    // the ids themselves.
+    for (size_t i = first; i + 1 < end; ++i) {
+      (*batch)[query_indices[i]].result->CompleteLeg(global_ids);
+    }
+    (*batch)[query_indices[end - 1]].result->CompleteLeg(
+        std::move(global_ids));
+    completed_.fetch_add(end - first, std::memory_order_relaxed);
+    first = end;
   }
 
   // Top-k legs run after the batch's updates for the same visibility

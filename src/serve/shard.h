@@ -17,7 +17,7 @@
 //
 // Concurrency (DESIGN.md §11): "serve::Shard::queue" guards the queue and
 // the worker handshake; it is released before the batch executes, so index
-// locks (e.g. "DurableIndex::state") and the ResultState leaf mutex are
+// locks (e.g. "DurableIndex::state") and the LegState leaf mutex are
 // only ever acquired with no shard lock held. The index and the local→
 // global id map are touched exclusively by the worker thread once Start()
 // has run (bulk build happens before, on the constructing thread).

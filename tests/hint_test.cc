@@ -1,6 +1,7 @@
 #include "hint/hint.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,11 +43,17 @@ std::vector<ObjectId> Sorted(std::vector<ObjectId> ids) {
   return ids;
 }
 
+// gtest names each case after the bytes of its HintParam (the struct has
+// no printer), so the struct must have no padding: padding bytes are
+// uninitialized and would give the cases different names from one build
+// to the next. Hence the flag is an int, not a bool.
 struct HintParam {
   int m;
   HintSortMode sort;
-  bool storage_opt;
+  int storage_opt;  // 0 or 1
 };
+static_assert(std::has_unique_object_representations_v<HintParam>,
+              "padding would put uninitialized bytes into the test names");
 
 class HintRandomizedTest : public ::testing::TestWithParam<HintParam> {};
 
@@ -58,7 +65,7 @@ TEST_P(HintRandomizedTest, MatchesBruteForce) {
   HintOptions options;
   options.num_bits = param.m;
   options.sort_mode = param.sort;
-  options.storage_optimization = param.storage_opt;
+  options.storage_optimization = param.storage_opt != 0;
   HintIndex hint;
   ASSERT_TRUE(hint.Build(records, domain_end, options).ok());
 
@@ -77,16 +84,16 @@ TEST_P(HintRandomizedTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, HintRandomizedTest,
-    ::testing::Values(HintParam{0, HintSortMode::kBeneficial, false},
-                      HintParam{1, HintSortMode::kBeneficial, false},
-                      HintParam{3, HintSortMode::kBeneficial, false},
-                      HintParam{5, HintSortMode::kBeneficial, false},
-                      HintParam{8, HintSortMode::kBeneficial, false},
-                      HintParam{10, HintSortMode::kBeneficial, false},
-                      HintParam{5, HintSortMode::kNone, false},
-                      HintParam{5, HintSortMode::kById, false},
-                      HintParam{5, HintSortMode::kBeneficial, true},
-                      HintParam{8, HintSortMode::kById, true}));
+    ::testing::Values(HintParam{0, HintSortMode::kBeneficial, 0},
+                      HintParam{1, HintSortMode::kBeneficial, 0},
+                      HintParam{3, HintSortMode::kBeneficial, 0},
+                      HintParam{5, HintSortMode::kBeneficial, 0},
+                      HintParam{8, HintSortMode::kBeneficial, 0},
+                      HintParam{10, HintSortMode::kBeneficial, 0},
+                      HintParam{5, HintSortMode::kNone, 0},
+                      HintParam{5, HintSortMode::kById, 0},
+                      HintParam{5, HintSortMode::kBeneficial, 1},
+                      HintParam{8, HintSortMode::kById, 1}));
 
 TEST(HintTest, EmptyIndex) {
   HintIndex hint;

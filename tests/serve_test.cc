@@ -1,8 +1,9 @@
-// Tests of the sharded serving engine (src/serve/): routing/merge
-// determinism against a 1-shard oracle and a NaiveScan ground truth,
-// batching and duplicate coalescing, admission control under a slow-shard
-// fault, live updates through the shard queues, durable mode, and the
-// line-oriented server loop.
+// Tests of the sharded serving engine (src/serve/): routing and merge
+// against a NaiveScan ground truth and a 1-shard engine, the Boolean
+// merge against sort + unique on random legs, batching and duplicate
+// coalescing, admission control under a slow-shard fault, live updates
+// through the shard queues, durable mode, and the line-oriented server
+// loop.
 
 #include <algorithm>
 #include <chrono>
@@ -15,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "core/factory.h"
 #include "data/query_gen.h"
 #include "data/synthetic.h"
 #include "serve/engine.h"
@@ -65,8 +68,58 @@ TEST(TermBucketTest, DeterministicAndInRange) {
 }
 
 // The acceptance property of the router: for every shard/bucket geometry
-// the merged answer is byte-identical to a 1-shard engine over the same
-// corpus (which itself must match the index answering directly).
+// (one shard included) the merged answer equals the sorted NaiveScan
+// answer, an oracle that shares no code with the merge. The half-domain
+// single-term queries are wide enough to take the merge's bitmap path.
+TEST(ServeEngineTest, MergedResultsMatchNaiveScanOracle) {
+  const Corpus corpus = TestCorpus();
+  std::vector<Query> queries = TestQueries(corpus);
+  const std::vector<Query> dense =
+      WorkloadGenerator(corpus, /*seed=*/5).ExtentWorkload(50.0, 1, 10);
+  queries.insert(queries.end(), dense.begin(), dense.end());
+
+  std::unique_ptr<TemporalIrIndex> oracle = CreateIndex(IndexKind::kNaiveScan);
+  ASSERT_TRUE(oracle->Build(corpus).ok());
+  std::vector<Ids> expected;
+  expected.reserve(queries.size());
+  size_t dense_answers = 0;
+  size_t sparse_answers = 0;
+  for (const Query& query : queries) {
+    Ids want;
+    // Element-less queries answer empty on irHINT (library contract).
+    if (!query.elements.empty()) oracle->Query(query, &want);
+    std::sort(want.begin(), want.end());
+    // Replicas only add to the merge's id count, so a dense answer means
+    // a dense merge for every geometry.
+    if (!want.empty()) {
+      ++(MergeIsDense(want.size(), want.back()) ? dense_answers
+                                                 : sparse_answers);
+    }
+    expected.push_back(std::move(want));
+  }
+  EXPECT_GT(dense_answers, 0u);
+  EXPECT_GT(sparse_answers, 0u);
+
+  for (const uint32_t shards : {1u, 2u, 3u, 5u}) {
+    for (const uint32_t buckets : {1u, 3u}) {
+      ServeOptions options;
+      options.time_shards = shards;
+      options.term_buckets = buckets;
+      StatusOr<std::unique_ptr<ServeEngine>> engine =
+          ServeEngine::Create(corpus, options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      EXPECT_EQ((*engine)->num_shards(), shards * buckets);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(MustGet((*engine)->Submit(queries[i])), expected[i])
+            << "query " << i << " diverges at " << shards << "x" << buckets;
+      }
+    }
+  }
+}
+
+// Sharding must not change an answer: every geometry is byte-identical
+// to a 1-shard engine over the same corpus. The test above checks the
+// answers themselves against an oracle outside the engine.
 TEST(ServeEngineTest, MergedResultsMatchOneShardOracle) {
   const Corpus corpus = TestCorpus();
   const std::vector<Query> queries = TestQueries(corpus);
@@ -97,6 +150,73 @@ TEST(ServeEngineTest, MergedResultsMatchOneShardOracle) {
       }
     }
   }
+}
+
+// The Boolean merge against sort + unique of the concatenated legs, on
+// random legs: empty legs, lone legs, ids shared across legs, dense
+// results (bitmap path) and sparse ones reaching ids 0 and 2^32 - 2.
+TEST(MergeIdsTest, MatchesSortUniqueOnRandomLegs) {
+  constexpr ObjectId kTopId = 0xFFFFFFFEu;
+  Rng rng(17);
+  size_t dense = 0;
+  size_t sparse = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool wide = trial % 2 == 0;
+    const uint64_t universe =
+        wide ? 1 + rng.Uniform(5000) : uint64_t{kTopId} + 1;
+    // Every leg draws from one shared pool, so legs overlap.
+    std::vector<ObjectId> pool;
+    const size_t pool_size = wide ? rng.Uniform(universe) : rng.Uniform(8);
+    for (size_t i = 0; i < pool_size; ++i) {
+      pool.push_back(static_cast<ObjectId>(rng.Uniform(universe)));
+    }
+    if (rng.Uniform(4) == 0) pool.push_back(0);
+    if (!wide && rng.Uniform(4) == 0) pool.push_back(kTopId);
+    std::sort(pool.begin(), pool.end());
+    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+
+    const size_t num_legs = 1 + rng.Uniform(4);
+    std::vector<Ids> legs(num_legs);
+    Ids concatenated;
+    size_t total = 0;
+    ObjectId max_id = 0;
+    for (Ids& leg : legs) {
+      // Indexes report each id once, in no particular order.
+      for (const ObjectId id : pool) {
+        if (rng.Uniform(3) != 0) leg.push_back(id);
+      }
+      for (size_t i = leg.size(); i > 1; --i) {
+        std::swap(leg[i - 1], leg[rng.Uniform(i)]);
+      }
+      concatenated.insert(concatenated.end(), leg.begin(), leg.end());
+      total += leg.size();
+      for (const ObjectId id : leg) max_id = std::max(max_id, id);
+    }
+    std::sort(concatenated.begin(), concatenated.end());
+    concatenated.erase(std::unique(concatenated.begin(), concatenated.end()),
+                       concatenated.end());
+    if (total > 0) ++(MergeIsDense(total, max_id) ? dense : sparse);
+    EXPECT_EQ(MergeIds(std::move(legs)), concatenated) << "trial " << trial;
+  }
+  EXPECT_GT(dense, 100u);
+  EXPECT_GT(sparse, 100u);
+
+  EXPECT_EQ(MergeIds({}), Ids());
+  EXPECT_EQ(MergeIds({{}, {}}), Ids());
+  EXPECT_EQ(MergeIds({{0}}), Ids{0});
+  EXPECT_EQ(MergeIds({{}, {3, 1, 2}, {}}), (Ids{1, 2, 3}));
+  EXPECT_EQ(MergeIds({{2, 0}, {0, 1}, {1, 2}}), (Ids{0, 1, 2}));
+}
+
+// Few ids under a huge max id must sort: a bitmap over [0, 2^32 - 2]
+// would take 512 MiB for three ids.
+TEST(MergeIdsTest, FewIdsNearTheTopTakeTheSparsePath) {
+  constexpr ObjectId kTopId = 0xFFFFFFFEu;
+  EXPECT_FALSE(MergeIsDense(4, kTopId));
+  EXPECT_EQ(MergeIds({{kTopId, 7}, {7, 0}}), (Ids{0, 7, kTopId}));
+  // The rule itself: four bitmap words per id at most.
+  EXPECT_TRUE(MergeIsDense(1000, 256000));
+  EXPECT_FALSE(MergeIsDense(1000, 256256));
 }
 
 // Same property under concurrent submitters: many client threads racing
@@ -432,6 +552,40 @@ TEST(ServerLoopTest, SpeaksTheLineProtocol) {
   bool saw_bye = false;
   while (std::getline(lines, line)) saw_bye = (line == "BYE");
   EXPECT_TRUE(saw_bye);
+}
+
+// An element id at or past kElementIdLimit is refused at the engine: an
+// in-memory shard would otherwise grow its per-element table out to the
+// id on its worker thread (2 GiB here, 32 GiB at 2^32 - 1). The id is
+// not burned and the engine keeps serving.
+TEST(ServerLoopTest, RejectsOutOfRangeElementIds) {
+  Corpus corpus;
+  corpus.Append(Interval(0, 10), {1, 2});
+  corpus.DeclareDomain(1000);
+  ASSERT_TRUE(corpus.Finalize().ok());
+
+  ServeOptions options;
+  options.time_shards = 2;
+  StatusOr<std::unique_ptr<ServeEngine>> engine =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::istringstream in(
+      "insert 0 5 268435456\n"
+      "insert 0 5 2\n"
+      "query 0 10 2\n");
+  std::ostringstream out;
+  EXPECT_EQ(RunServerLoop(engine->get(), in, out), 3u);
+  std::istringstream lines(out.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line.substr(0, 20), "ERR InvalidArgument:") << line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "OK id=1");
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "OK 2 0 1");
+  const Object bad(0, Interval(0, 10), {1, 2, kElementIdLimit});
+  EXPECT_TRUE((*engine)->Erase(bad).IsInvalidArgument());
 }
 
 }  // namespace

@@ -593,6 +593,42 @@ TEST(DurableIndexTest, WatermarkRejectsDuplicateAndUnknownIds) {
   std::filesystem::remove_all(dir);
 }
 
+// Replay rejects an element id at or past kElementIdLimit as corruption
+// and ends the live segment there, so logging one would silently drop
+// every write acknowledged after it. Such ids must be refused unlogged.
+// (NaiveScan keeps no per-element table, so the unfixed path would not
+// allocate out to the id either.)
+TEST(DurableIndexTest, OutOfRangeElementIdIsRejectedUnlogged) {
+  const std::string dir = TempWalDir();
+  DurableIndexOptions options;
+  options.kind = IndexKind::kNaiveScan;
+  std::unique_ptr<TemporalIrIndex> reference =
+      EmptyIndex(IndexKind::kNaiveScan);
+  {
+    auto index = DurableIndex::Open(dir, options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    ASSERT_TRUE((*index)->Insert(MakeObject(0)).ok());
+    ASSERT_TRUE(reference->Insert(MakeObject(0)).ok());
+    Object bad = MakeObject(1);
+    bad.elements.push_back(kElementIdLimit);
+    EXPECT_TRUE((*index)->Insert(bad).IsInvalidArgument());
+    Object bad_erase = MakeObject(0);
+    bad_erase.elements.push_back(kElementIdLimit);
+    EXPECT_TRUE((*index)->Erase(bad_erase).IsInvalidArgument());
+    // Acknowledged after the rejections; it must survive the reopen.
+    ASSERT_TRUE((*index)->Insert(MakeObject(2)).ok());
+    ASSERT_TRUE(reference->Insert(MakeObject(2)).ok());
+    ASSERT_TRUE((*index)->Flush().ok());
+  }
+  auto reopened = DurableIndex::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery_info().last_lsn, 2u);
+  EXPECT_EQ((*reopened)->recovery_info().torn_bytes_dropped, 0u);
+  EXPECT_EQ((*reopened)->next_object_id(), 3u);
+  ExpectSameAnswers(**reopened, *reference);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DurableIndexTest, InlineCheckpointRotatesAndCollectsGarbage) {
   const std::string dir = TempWalDir();
   WalEnv* env = DefaultWalEnv();
