@@ -131,10 +131,7 @@ Status DurableIndex::Insert(const Object& object) {
           " is below the insert watermark " +
           std::to_string(next_object_id_) + " (ids must strictly increase)");
     }
-    if (object.interval.st > object.interval.end) {
-      return Status::InvalidArgument("interval start exceeds end");
-    }
-    IRHINT_RETURN_NOT_OK(CheckElementIds(object));
+    IRHINT_RETURN_NOT_OK(CheckObject(object));
     auto lsn = writer_->AppendInsert(object);
     IRHINT_RETURN_NOT_OK(lsn.status());
     // The id is burned from here on, even if the apply fails — replay
@@ -166,10 +163,7 @@ Status DurableIndex::Erase(const Object& object) {
       return Status::NotFound("object id " + std::to_string(object.id) +
                               " was never inserted");
     }
-    if (object.interval.st > object.interval.end) {
-      return Status::InvalidArgument("interval start exceeds end");
-    }
-    IRHINT_RETURN_NOT_OK(CheckElementIds(object));
+    IRHINT_RETURN_NOT_OK(CheckObject(object));
     auto lsn = writer_->AppendErase(object);
     IRHINT_RETURN_NOT_OK(lsn.status());
     IRHINT_RETURN_NOT_OK(inner_->Erase(object));

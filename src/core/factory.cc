@@ -1,5 +1,8 @@
 #include "core/factory.h"
 
+#include <iterator>
+#include <string>
+
 #include "core/irhint_perf.h"
 #include "core/irhint_size.h"
 #include "core/naive_scan.h"
@@ -89,6 +92,47 @@ std::string_view IndexKindName(IndexKind kind) {
     case IndexKind::kScoredIrHint: return "scored-irHINT";
   }
   return "unknown";
+}
+
+namespace {
+
+struct FlagName {
+  IndexKind kind;
+  std::string_view name;
+};
+
+constexpr FlagName kFlagNames[] = {
+    {IndexKind::kNaiveScan, "naive"},
+    {IndexKind::kTif, "tif"},
+    {IndexKind::kTifSlicing, "slicing"},
+    {IndexKind::kTifSharding, "sharding"},
+    {IndexKind::kTifHintBinarySearch, "hint-bs"},
+    {IndexKind::kTifHintMergeSort, "hint-ms"},
+    {IndexKind::kTifHintSlicing, "hybrid"},
+    {IndexKind::kIrHintPerf, "irhint-perf"},
+    {IndexKind::kIrHintSize, "irhint-size"},
+    {IndexKind::kScoredTif, "scored-tif"},
+    {IndexKind::kScoredIrHint, "scored-irhint"},
+};
+
+}  // namespace
+
+StatusOr<IndexKind> ParseIndexKind(std::string_view name) {
+  std::string known;
+  for (const FlagName& flag : kFlagNames) {
+    if (flag.name == name) return flag.kind;
+    known += known.empty() ? "" : ", ";
+    known += flag.name;
+  }
+  return Status::InvalidArgument("unknown index '" + std::string(name) +
+                                 "' (one of: " + known + ")");
+}
+
+std::vector<std::string_view> IndexKindFlagNames() {
+  std::vector<std::string_view> names;
+  names.reserve(std::size(kFlagNames));
+  for (const FlagName& flag : kFlagNames) names.push_back(flag.name);
+  return names;
 }
 
 std::vector<IndexKind> ComparisonIndexKinds() {

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "core/index_kind.h"
 #include "core/temporal_ir_index.h"
 
@@ -35,6 +36,13 @@ std::unique_ptr<TemporalIrIndex> CreateIndex(IndexKind kind,
 
 /// \brief Display name without instantiating.
 std::string_view IndexKindName(IndexKind kind);
+
+/// \brief The kind a command-line name (--index) selects; InvalidArgument
+/// naming the accepted names for any other string.
+StatusOr<IndexKind> ParseIndexKind(std::string_view name);
+
+/// \brief Every name ParseIndexKind accepts, one per kind.
+std::vector<std::string_view> IndexKindFlagNames();
 
 /// \brief The five indexes compared in Figures 11/12 (competitors + ours).
 std::vector<IndexKind> ComparisonIndexKinds();

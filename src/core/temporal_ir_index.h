@@ -136,12 +136,17 @@ class CountingTemporalIrIndex : public TemporalIrIndex {
   CounterSink counters_;
 };
 
-/// \brief The element-id check shared by the update entry points that
-/// take objects from callers (DurableIndex before it logs, ServeEngine
-/// before it routes). Per-element tables grow out to the largest id, and
-/// WAL replay rejects ids at or past kElementIdLimit as corruption, so
-/// such an id is refused up front instead of being logged or allocated.
-inline Status CheckElementIds(const Object& object) {
+/// \brief The object check shared by the update entry points that take
+/// objects from callers (DurableIndex before it logs, ServeEngine before
+/// it routes). An inverted interval covers no time point, so the engine
+/// cannot place it, and WAL replay rejects it as corruption. Per-element
+/// tables grow out to the largest id, and replay rejects ids at or past
+/// kElementIdLimit, so such an id is refused up front too instead of
+/// being logged or allocated.
+inline Status CheckObject(const Object& object) {
+  if (object.interval.st > object.interval.end) {
+    return Status::InvalidArgument("interval start exceeds end");
+  }
   for (const ElementId e : object.elements) {
     if (e >= kElementIdLimit) {
       return Status::InvalidArgument(

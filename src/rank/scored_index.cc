@@ -302,8 +302,14 @@ Status ScoredIndex::TopKQuery(const irhint::Query& query, uint32_t k,
   if (k == 0) return Status::OK();
   QueryCounters local;
   const std::vector<ElementId> terms = UniqueTerms(query.elements);
+  // The heap never holds more hits than the stores hold postings, so a
+  // huge k must not size it (k = 2^32 - 1 would reserve 64 GiB).
+  size_t postings = 0;
+  for (const ScoreBlockStore& store : stores_) {
+    postings += store.posting_count();
+  }
   std::vector<ScoredHit> heap;
-  heap.reserve(k);
+  heap.reserve(std::min<size_t>(k, postings));
   for (const ScoreBlockStore& store : stores_) {
     TopKDivision(store, query.interval, terms, k, &heap, &local);
   }

@@ -3,33 +3,14 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "core/durable_index.h"
 
 namespace irhint {
 namespace serve {
-
-namespace {
-
-/// Replication targets of one object inside a time shard: the distinct
-/// buckets of its elements (bucket 0 for element-less objects, which only
-/// element-less queries — routed to every bucket — can match).
-void ObjectBuckets(const Object& object, uint32_t buckets,
-                   std::vector<uint32_t>* out) {
-  out->clear();
-  if (buckets == 1 || object.elements.empty()) {
-    out->push_back(0);
-    return;
-  }
-  for (const ElementId element : object.elements) {
-    out->push_back(TermBucket(element, buckets));
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-}  // namespace
 
 uint32_t TermBucket(ElementId element, uint32_t buckets) {
   // splitmix64 finalizer: cheap, well-mixed, stable across platforms.
@@ -95,24 +76,17 @@ StatusOr<std::unique_ptr<ServeEngine>> ServeEngine::Create(
     locals[shard].DeclareDomain(
         scored ? domain_end : std::min(domain_end, range.end) - range.st);
   }
-  std::vector<uint32_t> buckets;
+  std::vector<size_t> cells;
   for (const Object& object : corpus.objects()) {
-    const uint32_t t0 = engine->TimeShardOf(object.interval.st);
-    const uint32_t t1 = engine->TimeShardOf(object.interval.end);
-    ObjectBuckets(object, options.term_buckets, &buckets);
-    for (uint32_t t = t0; t <= t1; ++t) {
-      const Interval local =
+    engine->Route(/*conjunctive=*/false, object.interval, object.elements,
+                  &cells);
+    for (const size_t shard : cells) {
+      locals[shard].Append(
           scored ? object.interval
-                 : Interval(
-                       std::max(object.interval.st, ranges[t].st) -
-                           ranges[t].st,
-                       std::min(object.interval.end, ranges[t].end) -
-                           ranges[t].st);
-      for (const uint32_t b : buckets) {
-        const size_t shard = engine->ShardAt(t, b);
-        locals[shard].Append(local, object.elements);
-        id_maps[shard].push_back(object.id);
-      }
+                 : Rebase(object.interval,
+                          ranges[shard / options.term_buckets]),
+          object.elements);
+      id_maps[shard].push_back(object.id);
     }
   }
 
@@ -189,85 +163,79 @@ uint32_t ServeEngine::TimeShardOf(Time t) const {
   return static_cast<uint32_t>(it - shard_starts_.begin()) - 1;
 }
 
-void ServeEngine::RouteQuery(const Query& query,
-                             std::vector<Shard*>* targets) const {
-  targets->clear();
-  const uint32_t t0 = TimeShardOf(query.interval.st);
-  const uint32_t t1 = TimeShardOf(query.interval.end);
-  for (uint32_t t = t0; t <= t1; ++t) {
-    if (term_buckets_ == 1) {
-      targets->push_back(shards_[ShardAt(t, 0)].get());
-    } else if (query.elements.empty()) {
-      // Element-less queries cannot pick a bucket; fan out to all (the
-      // merge deduplicates replicas).
-      for (uint32_t b = 0; b < term_buckets_; ++b) {
-        targets->push_back(shards_[ShardAt(t, b)].get());
-      }
-    } else {
-      // Any one query element suffices: matching objects contain every
-      // query element, so they are replicated into this element's bucket.
-      targets->push_back(shards_[ShardAt(
-          t, TermBucket(query.elements[0], term_buckets_))].get());
-    }
-  }
-}
-
-void ServeEngine::RouteTopK(const Query& query,
-                            std::vector<Shard*>* targets) const {
-  targets->clear();
-  const uint32_t t0 = TimeShardOf(query.interval.st);
-  const uint32_t t1 = TimeShardOf(query.interval.end);
-  std::vector<uint32_t> buckets;
-  if (term_buckets_ == 1 || query.elements.empty()) {
-    // One bucket, or element-less ranked queries (empty top-k either way,
-    // but the legs must still run so NotSupported surfaces): bucket 0 or
-    // all of them.
-    for (uint32_t b = 0; b < term_buckets_; ++b) buckets.push_back(b);
+void ServeEngine::Route(bool conjunctive, const Interval& interval,
+                        const std::vector<ElementId>& elements,
+                        std::vector<size_t>* cells) const {
+  // The bucket rule first. A conjunctive (Boolean) query's matches contain
+  // every query element, so they were all placed in its first element's
+  // bucket. A disjunctive top-k query can rank an object through any one
+  // element, and an object is placed in each of its elements' buckets, so
+  // both visit the distinct buckets of the elements.
+  cells->clear();
+  if (term_buckets_ == 1) {
+    cells->push_back(0);
+  } else if (elements.empty()) {
+    // No element picks a bucket: a Boolean query visits them all (the
+    // merge deduplicates replicas); anything else has bucket 0.
+    cells->resize(conjunctive ? term_buckets_ : 1);
+    std::iota(cells->begin(), cells->end(), size_t{0});
+  } else if (conjunctive) {
+    cells->push_back(TermBucket(elements[0], term_buckets_));
   } else {
-    // Disjunctive scoring: an object matching ANY query element can rank,
-    // and it is only guaranteed replicated into that element's bucket —
-    // so every element's bucket must be visited (replicas in several
-    // buckets score identically and the merge dedups them).
-    for (const ElementId element : query.elements) {
-      buckets.push_back(TermBucket(element, term_buckets_));
+    for (const ElementId element : elements) {
+      cells->push_back(TermBucket(element, term_buckets_));
     }
-    std::sort(buckets.begin(), buckets.end());
-    buckets.erase(std::unique(buckets.begin(), buckets.end()), buckets.end());
+    std::sort(cells->begin(), cells->end());
+    cells->erase(std::unique(cells->begin(), cells->end()), cells->end());
   }
-  for (uint32_t t = t0; t <= t1; ++t) {
-    for (const uint32_t b : buckets) {
-      targets->push_back(shards_[ShardAt(t, b)].get());
+  // Then those buckets in every time shard the interval overlaps.
+  const size_t buckets = cells->size();
+  const uint32_t t0 = TimeShardOf(interval.st);
+  const uint32_t t1 = TimeShardOf(interval.end);
+  for (uint32_t t = t0 + 1; t <= t1; ++t) {
+    for (size_t i = 0; i < buckets; ++i) {
+      cells->push_back(ShardAt(t, (*cells)[i]));
     }
   }
+  for (size_t i = 0; i < buckets; ++i) (*cells)[i] = ShardAt(t0, (*cells)[i]);
 }
 
-void ServeEngine::RouteObject(const Object& object,
-                              std::vector<Shard*>* targets) const {
-  targets->clear();
-  const uint32_t t0 = TimeShardOf(object.interval.st);
-  const uint32_t t1 = TimeShardOf(object.interval.end);
-  std::vector<uint32_t> buckets;
-  ObjectBuckets(object, term_buckets_, &buckets);
-  for (uint32_t t = t0; t <= t1; ++t) {
-    for (const uint32_t b : buckets) {
-      targets->push_back(shards_[ShardAt(t, b)].get());
-    }
+template <typename Hit>
+LegFuture<Hit> ServeEngine::FanOut(Shard::Request request) {
+  using Kind = Shard::Request::Kind;
+  // The interval is checked once, here, so every shard layout answers an
+  // inverted one alike: a Boolean query matches nothing, anything else is
+  // refused (Insert and Erase refuse it earlier, in CheckObject).
+  const bool inverted = request.query.interval.st > request.query.interval.end;
+  std::vector<size_t> cells;
+  if (!inverted) {
+    Route(request.kind == Kind::kQuery, request.query.interval,
+          request.query.elements, &cells);
   }
+  auto state = std::make_shared<LegState<Hit>>(
+      static_cast<uint32_t>(cells.size()), request.k);
+  if (inverted && request.kind != Kind::kQuery) {
+    state->FailLeg(Status::InvalidArgument("query interval is inverted"));
+  }
+  if constexpr (std::is_same_v<Hit, ScoredHit>) {
+    request.topk = state;
+  } else {
+    request.result = state;
+  }
+  const auto enqueue = [&](size_t shard, Shard::Request leg) {
+    const Status queued = shards_[shard]->Submit(std::move(leg));
+    if (!queued.ok()) state->FailLeg(queued);
+  };
+  // Every leg but the last gets a copy; the last takes the request.
+  for (size_t i = 0; i + 1 < cells.size(); ++i) enqueue(cells[i], request);
+  if (!cells.empty()) enqueue(cells.back(), std::move(request));
+  return LegFuture<Hit>(std::move(state));
 }
 
 ResultFuture ServeEngine::Submit(const Query& query) {
-  std::vector<Shard*> targets;
-  RouteQuery(query, &targets);
-  auto state = std::make_shared<ResultState>(
-      static_cast<uint32_t>(targets.size()));
-  for (Shard* shard : targets) {
-    if (!shard->TrySubmitQuery(query, state)) {
-      state->FailLeg(Status::Unavailable(
-          "shard " + std::to_string(shard->shard_index()) +
-          " queue full; query shed"));
-    }
-  }
-  return ResultFuture(std::move(state));
+  Shard::Request request;
+  request.query = query;
+  return FanOut<ObjectId>(std::move(request));
 }
 
 StatusOr<std::vector<ObjectId>> ServeEngine::Execute(const Query& query) {
@@ -275,18 +243,11 @@ StatusOr<std::vector<ObjectId>> ServeEngine::Execute(const Query& query) {
 }
 
 TopKFuture ServeEngine::SubmitTopK(const Query& query, uint32_t k) {
-  std::vector<Shard*> targets;
-  RouteTopK(query, &targets);
-  auto state = std::make_shared<TopKState>(
-      static_cast<uint32_t>(targets.size()), k);
-  for (Shard* shard : targets) {
-    if (!shard->TrySubmitTopK(query, k, state)) {
-      state->FailLeg(Status::Unavailable(
-          "shard " + std::to_string(shard->shard_index()) +
-          " queue full; query shed"));
-    }
-  }
-  return TopKFuture(std::move(state));
+  Shard::Request request;
+  request.kind = Shard::Request::Kind::kTopK;
+  request.query = query;
+  request.k = k;
+  return FanOut<ScoredHit>(std::move(request));
 }
 
 StatusOr<std::vector<ScoredHit>> ServeEngine::ExecuteTopK(const Query& query,
@@ -294,18 +255,15 @@ StatusOr<std::vector<ScoredHit>> ServeEngine::ExecuteTopK(const Query& query,
   return SubmitTopK(query, k).Get();
 }
 
-Status ServeEngine::RunUpdate(bool erase, const Object& object) {
+Status ServeEngine::Update(Shard::Request::Kind kind, const Object& object) {
   // Refused here, not on the shard workers: an in-memory index would grow
   // its per-element tables out to the id first (32 GiB at 2^32 - 1).
-  IRHINT_RETURN_NOT_OK(CheckElementIds(object));
-  std::vector<Shard*> targets;
-  RouteObject(object, &targets);
-  auto state = std::make_shared<ResultState>(
-      static_cast<uint32_t>(targets.size()));
-  for (Shard* shard : targets) {
-    shard->SubmitUpdate(erase, object, state);
-  }
-  return state->Wait().status();
+  IRHINT_RETURN_NOT_OK(CheckObject(object));
+  Shard::Request request;
+  request.kind = kind;
+  request.query = Query(object.interval, object.elements);
+  request.id = object.id;
+  return FanOut<ObjectId>(std::move(request)).Get().status();
 }
 
 Status ServeEngine::Insert(const Object& object) {
@@ -313,7 +271,7 @@ Status ServeEngine::Insert(const Object& object) {
     return Status::InvalidArgument(
         "insert ids must strictly increase (single-writer model)");
   }
-  IRHINT_RETURN_NOT_OK(RunUpdate(/*erase=*/false, object));
+  IRHINT_RETURN_NOT_OK(Update(Shard::Request::Kind::kInsert, object));
   next_object_id_.store(object.id + 1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -331,7 +289,7 @@ StatusOr<ObjectId> ServeEngine::AppendInsert(
 }
 
 Status ServeEngine::Erase(const Object& object) {
-  return RunUpdate(/*erase=*/true, object);
+  return Update(Shard::Request::Kind::kErase, object);
 }
 
 void ServeEngine::WaitIdle() {

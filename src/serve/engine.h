@@ -5,21 +5,23 @@
 // directory — and serves concurrent traffic through a thread-safe
 // Submit(Query) -> ResultFuture API.
 //
-// Routing: an object is replicated into every time shard its lifespan
-// overlaps; with term_buckets > 1 it lands in bucket h(e) for each of its
-// elements e (so any single query element locates every matching object).
-// A query fans out only to the time shards overlapping its interval, and
-// within each to the bucket of its first element (all buckets for
-// element-less queries). The future merges per-shard ids deterministically
-// into sorted, duplicate-free ids (serve/result_future.h: a bitmap scan
-// for dense results, sort + unique for sparse ones), so results are
+// Routing: every request, and the placement of every object, takes one
+// path — the time shards its interval overlaps, times the term buckets of
+// a bucket rule. With term_buckets > 1 an object lands in bucket h(e) for
+// each of its elements e (bucket 0 when it has none). A Boolean query is
+// conjunctive, so its first element's bucket holds every match (all
+// buckets for element-less queries); a top-k query is disjunctive and
+// visits the buckets of all its elements (bucket 0 when it has none). An
+// inverted interval is refused before routing: a Boolean query matches
+// nothing, every other request is InvalidArgument. The future merges the
+// legs deterministically (serve/result_future.h), so results are
 // byte-identical to a 1-shard engine for any shard/bucket/thread count.
 //
-// Updates: Insert/Erase route to the same shard set as placement and ride
-// the per-shard queues (the worker is the only thread touching its index,
-// so plain indexes need no locking). The engine is single-writer, like
-// the paper's Section 5.5 update model: one thread issues updates with
-// strictly increasing ids; queries are fully concurrent.
+// Updates: Insert/Erase route like placement and ride the per-shard
+// queues (the worker is the only thread touching its index, so plain
+// indexes need no locking). The engine is single-writer, like the paper's
+// Section 5.5 update model: one thread issues updates with strictly
+// increasing ids; queries are fully concurrent.
 
 #ifndef IRHINT_SERVE_ENGINE_H_
 #define IRHINT_SERVE_ENGINE_H_
@@ -106,9 +108,9 @@ class ServeEngine {
   // -- Query path (thread-safe, any number of concurrent callers) ----------
 
   /// \brief Route the query to the shards overlapping its interval and
-  /// return a future over the merged result. Never blocks on shard work;
-  /// a full target queue fails that leg with kUnavailable (the future's
-  /// Get() then reports the shed).
+  /// return a future over the merged result (empty for an inverted
+  /// interval). Never blocks on shard work; a full target queue fails
+  /// that leg with kUnavailable (the future's Get() then reports the shed).
   ResultFuture Submit(const Query& query);
 
   /// \brief Submit + Get in one call.
@@ -117,7 +119,8 @@ class ServeEngine {
   /// \brief Route a ranked top-k query (kind must support TopKQuery, see
   /// KindSupportsTopK) to the shards overlapping its interval — across
   /// the buckets of ALL its elements, the query being disjunctive — and
-  /// return a future over the deterministically merged global top-k.
+  /// return a future over the deterministically merged global top-k
+  /// (InvalidArgument for an inverted interval).
   TopKFuture SubmitTopK(const Query& query, uint32_t k);
 
   /// \brief SubmitTopK + Get in one call.
@@ -126,9 +129,9 @@ class ServeEngine {
   // -- Update path (single writer, Section 5.5 model) -----------------------
 
   /// \brief Route an insert to every covering shard and wait for it to
-  /// apply. `object.id` must exceed every id inserted so far, and element
-  /// ids must be below kElementIdLimit (InvalidArgument otherwise, as for
-  /// Erase).
+  /// apply. `object.id` must exceed every id inserted so far, and the
+  /// object must pass CheckObject (InvalidArgument otherwise, as for
+  /// Erase; a refused insert does not advance next_object_id()).
   Status Insert(const Object& object);
 
   /// \brief Convenience for live ingestion: assigns the next global id.
@@ -165,16 +168,21 @@ class ServeEngine {
  private:
   ServeEngine() = default;
 
-  /// Shards overlapping [query interval] x [bucket of the query terms].
-  void RouteQuery(const Query& query, std::vector<Shard*>* targets) const;
-  /// Shards overlapping [query interval] x [buckets of ALL query terms]
-  /// (disjunctive semantics: any one element can rank an object).
-  void RouteTopK(const Query& query, std::vector<Shard*>* targets) const;
-  /// Shards that must hold `object` under the placement rule.
-  void RouteObject(const Object& object, std::vector<Shard*>* targets) const;
-  Status RunUpdate(bool erase, const Object& object);
+  /// The shards (indexes into shards_) covering `interval` under the
+  /// bucket rule: a conjunctive request visits its first element's bucket
+  /// (all of them when it has no elements), any other the distinct buckets
+  /// of its elements (bucket 0 when it has none). `interval` must not be
+  /// inverted.
+  void Route(bool conjunctive, const Interval& interval,
+             const std::vector<ElementId>& elements,
+             std::vector<size_t>* cells) const;
+  /// Route `request`, enqueue one leg per target shard and return the
+  /// future over the merged legs.
+  template <typename Hit>
+  LegFuture<Hit> FanOut(Shard::Request request);
+  Status Update(Shard::Request::Kind kind, const Object& object);
 
-  size_t ShardAt(uint32_t time_shard, uint32_t bucket) const {
+  size_t ShardAt(uint32_t time_shard, size_t bucket) const {
     return static_cast<size_t>(time_shard) * term_buckets_ + bucket;
   }
   /// First time shard whose range may overlap a point at or after `t`.

@@ -1,6 +1,7 @@
 #include "serve/shard.h"
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "common/timer.h"
@@ -50,86 +51,37 @@ void Shard::Stop() {
     MutexLock lock(&mu_);
     stopping_ = true;
     work_cv_.NotifyAll();
-    // Unblock SubmitUpdate() callers waiting for queue space.
+    // Unblock updates waiting in Submit() for queue space.
     idle_cv_.NotifyAll();
   }
   if (worker_.joinable()) worker_.join();
 }
 
-bool Shard::TrySubmitQuery(const Query& query,
-                           std::shared_ptr<ResultState> result) {
+Status Shard::Submit(Request request) {
+  // Localized at enqueue so the batch executor's duplicate grouping
+  // compares shard-local coordinates.
+  request.query.interval = Localize(request.query.interval);
+  const bool update = request.kind == Request::Kind::kInsert ||
+                      request.kind == Request::Kind::kErase;
   {
     MutexLock lock(&mu_);
-    if (!stopping_ && queue_.size() < options_.max_queue_depth) {
-      Request request;
-      request.kind = Request::Kind::kQuery;
-      // Localized at enqueue so the batch executor's duplicate grouping
-      // compares shard-local coordinates.
-      request.query.interval = Localize(query.interval);
-      request.query.elements = query.elements;
-      request.result = std::move(result);
-      queue_.push_back(std::move(request));
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      BumpMax(peak_queue_depth_, queue_.size());
-      work_cv_.NotifyOne();
-      return true;
-    }
-  }
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-bool Shard::TrySubmitTopK(const Query& query, uint32_t k,
-                          std::shared_ptr<TopKState> result) {
-  {
-    MutexLock lock(&mu_);
-    if (!stopping_ && queue_.size() < options_.max_queue_depth) {
-      Request request;
-      request.kind = Request::Kind::kTopK;
-      // Scored engines run with localize=false, so this is the identity;
-      // kept for symmetry with TrySubmitQuery.
-      request.query.interval = Localize(query.interval);
-      request.query.elements = query.elements;
-      request.k = k;
-      request.topk = std::move(result);
-      queue_.push_back(std::move(request));
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      BumpMax(peak_queue_depth_, queue_.size());
-      work_cv_.NotifyOne();
-      return true;
-    }
-  }
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void Shard::SubmitUpdate(bool erase, Object object,
-                         std::shared_ptr<ResultState> result) {
-  Request request;
-  request.kind = erase ? Request::Kind::kErase : Request::Kind::kInsert;
-  object.interval = Localize(object.interval);
-  request.object = std::move(object);
-  request.result = std::move(result);
-  std::shared_ptr<ResultState> reject;
-  {
-    MutexLock lock(&mu_);
-    // Backpressure, not shedding: block the ingesting thread until the
-    // worker drains below the limit (or the shard shuts down).
-    while (!stopping_ && queue_.size() >= options_.max_queue_depth) {
+    // Backpressure, not shedding, for updates: block the ingesting thread
+    // until the worker drains below the limit (or the shard shuts down).
+    while (update && !stopping_ && queue_.size() >= options_.max_queue_depth) {
       idle_cv_.Wait(&mu_);
     }
-    if (stopping_) {
-      reject = std::move(request.result);
-    } else {
+    if (stopping_) return Status::Unavailable("shard is shutting down");
+    if (queue_.size() < options_.max_queue_depth) {
       queue_.push_back(std::move(request));
       submitted_.fetch_add(1, std::memory_order_relaxed);
       BumpMax(peak_queue_depth_, queue_.size());
       work_cv_.NotifyOne();
+      return Status::OK();
     }
   }
-  if (reject != nullptr) {
-    reject->FailLeg(Status::NotSupported("shard is shutting down"));
-  }
+  shed_.fetch_add(1, std::memory_order_relaxed);
+  return Status::Unavailable("shard " + std::to_string(shard_index_) +
+                             " queue full; query shed");
 }
 
 void Shard::WaitIdle() {
@@ -172,7 +124,7 @@ void Shard::WorkerLoop() {
         queue_.pop_front();
       }
       executing_ = true;
-      // Blocked SubmitUpdate() callers can refill the freed queue slots.
+      // Updates blocked in Submit() can refill the freed queue slots.
       idle_cv_.NotifyAll();
     }
     ExecuteBatch(&batch);
@@ -267,22 +219,20 @@ void Shard::ExecuteTopK(Request* request) {
 }
 
 void Shard::ApplyUpdate(Request* request) {
-  const Object& object = request->object;
+  Object local(0, request->query.interval, std::move(request->query.elements));
   Status status;
   if (request->kind == Request::Kind::kInsert) {
-    Object local = object;
     local.id = static_cast<ObjectId>(id_map_.size());
     status = index_->Insert(local);
-    if (status.ok()) id_map_.push_back(object.id);
+    if (status.ok()) id_map_.push_back(request->id);
   } else {
     // The id map is ascending (inserts arrive in global id order), so the
     // global→local translation is a binary search.
     const auto it =
-        std::lower_bound(id_map_.begin(), id_map_.end(), object.id);
-    if (it == id_map_.end() || *it != object.id) {
+        std::lower_bound(id_map_.begin(), id_map_.end(), request->id);
+    if (it == id_map_.end() || *it != request->id) {
       status = Status::NotFound("object not mapped on this shard");
     } else {
-      Object local = object;
       local.id = static_cast<ObjectId>(it - id_map_.begin());
       status = index_->Erase(local);
     }

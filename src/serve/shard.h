@@ -9,11 +9,11 @@
 // then sorts its queries so identical ones (common under Zipf traffic)
 // run the index descent once and fan the ids out to every duplicate.
 //
-// Admission control: TrySubmitQuery() rejects when the queue is at
-// max_queue_depth (the router fails that leg with kUnavailable and the
-// shard counts a shed); SubmitUpdate() instead blocks — shedding a query
-// costs a retry, shedding an update would lose data — so ingestion sees
-// backpressure, not loss.
+// Admission control: Submit() sheds a query (Boolean or top-k) when the
+// queue is at max_queue_depth (the router fails that leg with
+// kUnavailable and the shard counts a shed), but blocks an update —
+// shedding a query costs a retry, shedding an update would lose data — so
+// ingestion sees backpressure, not loss.
 //
 // Concurrency (DESIGN.md §11): "serve::Shard::queue" guards the queue and
 // the worker handshake; it is released before the batch executes, so index
@@ -62,6 +62,18 @@ struct ShardStats {
   double busy_seconds = 0.0;     ///< wall time spent executing batches
 };
 
+/// \brief Clamp `interval` to a shard's time `range` and rebase it to the
+/// range's origin. A shard index covers only [lo, hi] rebased to 0, so its
+/// divisions are proportionally finer; correctness is unchanged because a
+/// query and an object replica that both overlap [lo, hi] intersect
+/// somewhere iff their clamped images do, and the router covers every
+/// shard the true intersection can fall in. `interval` must overlap
+/// `range` (the router guarantees it).
+inline Interval Rebase(const Interval& interval, const Interval& range) {
+  return Interval(std::max(interval.st, range.st) - range.st,
+                  std::min(interval.end, range.end) - range.st);
+}
+
 /// \brief Knobs one shard needs (the engine fans ServeOptions out).
 struct ShardOptions {
   size_t max_queue_depth = 1024;
@@ -103,24 +115,30 @@ class Shard {
   /// destructor calls it too.
   void Stop();
 
-  /// \brief Enqueue one query leg. Returns false (and counts a shed)
-  /// when the queue is at max_queue_depth; the caller must then fail the
-  /// leg with kUnavailable.
-  bool TrySubmitQuery(const Query& query, std::shared_ptr<ResultState> result);
+  /// \brief One leg of a routed request: what to run, and where its
+  /// answer goes.
+  struct Request {
+    enum class Kind { kQuery, kTopK, kInsert, kErase };
+    Kind kind = Kind::kQuery;
+    /// The query, or the updated object's interval and elements. Global
+    /// coordinates; Submit() localizes them.
+    Query query;
+    /// kTopK: the ranked cut-off.
+    uint32_t k = 0;
+    /// kInsert / kErase: the object's global id.
+    ObjectId id = 0;
+    /// Completion state: `topk` for kTopK, `result` for the other kinds.
+    std::shared_ptr<ResultState> result;
+    std::shared_ptr<TopKState> topk;
+  };
 
-  /// \brief Enqueue one ranked top-k leg (same admission control as
-  /// TrySubmitQuery). The worker answers it with the shard index's
-  /// TopKQuery and reports global ids; indexes without scored postings
-  /// fail the leg with NotSupported.
-  bool TrySubmitTopK(const Query& query, uint32_t k,
-                     std::shared_ptr<TopKState> result);
-
-  /// \brief Enqueue an insert (erase=false) or erase (erase=true) leg.
-  /// Blocks while the queue is full — updates are never shed, they see
-  /// backpressure instead. `object` carries the global id; the worker
-  /// translates through the id map.
-  void SubmitUpdate(bool erase, Object object,
-                    std::shared_ptr<ResultState> result);
+  /// \brief Enqueue one leg. A query is shed (Unavailable, counted) when
+  /// the queue is at max_queue_depth; an update blocks until there is
+  /// room. Returns OK once queued; otherwise the caller must fail the leg
+  /// with the returned status. The worker reports global ids, and answers
+  /// a top-k leg with the index's TopKQuery (NotSupported for kinds
+  /// without scored postings).
+  Status Submit(Request request);
 
   /// \brief Block until the queue is empty and no batch is executing.
   void WaitIdle();
@@ -139,33 +157,16 @@ class Shard {
   size_t mapped_objects() const { return id_map_.size(); }
 
  private:
-  struct Request {
-    enum class Kind { kQuery, kInsert, kErase, kTopK };
-    Kind kind = Kind::kQuery;
-    Query query;     // kQuery / kTopK payload
-    uint32_t k = 0;  // kTopK payload
-    Object object;   // update payload (global id)
-    std::shared_ptr<ResultState> result;
-    std::shared_ptr<TopKState> topk;  // kTopK completion state
-  };
-
   void WorkerLoop();
   /// Runs one popped batch with no shard lock held.
   void ExecuteBatch(std::vector<Request>* batch) IRHINT_EXCLUDES(mu_);
   void ApplyUpdate(Request* request);
   void ExecuteTopK(Request* request);
 
-  /// Clamp to the shard's time range and rebase to its local origin. The
-  /// shard index covers only [lo, hi] rebased to 0, so its divisions are
-  /// proportionally finer; correctness is unchanged because a query and an
-  /// object replica that both overlap [lo, hi] intersect somewhere iff
-  /// their clamped images do, and the router covers every shard the true
-  /// intersection can fall in. Callers must only pass intervals
-  /// overlapping time_range_ (the router guarantees it).
+  /// The shard-local frame of `interval` (see Rebase), or the interval
+  /// itself when options_.localize is off.
   Interval Localize(const Interval& interval) const {
-    if (!options_.localize) return interval;
-    return Interval(std::max(interval.st, time_range_.st) - time_range_.st,
-                    std::min(interval.end, time_range_.end) - time_range_.st);
+    return options_.localize ? Rebase(interval, time_range_) : interval;
   }
 
   const size_t shard_index_;       // unguarded: immutable after construction

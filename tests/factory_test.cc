@@ -1,5 +1,8 @@
 #include "core/factory.h"
 
+#include <map>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -19,6 +22,27 @@ TEST(FactoryTest, CreatesEveryKindWithMatchingName) {
     auto index = CreateIndex(kind);
     ASSERT_NE(index, nullptr);
     EXPECT_EQ(index->Name(), IndexKindName(kind));
+  }
+}
+
+// The command-line names (--index) come from one table: every kind
+// CreateIndex builds is reachable by exactly one name, and any other name
+// — typos included — is refused instead of falling back to a default.
+TEST(FactoryTest, EveryKindHasExactlyOneFlagName) {
+  std::map<IndexKind, int> names_per_kind;
+  for (const std::string_view name : IndexKindFlagNames()) {
+    const StatusOr<IndexKind> kind = ParseIndexKind(name);
+    ASSERT_TRUE(kind.ok()) << name << ": " << kind.status().ToString();
+    ++names_per_kind[*kind];
+  }
+  for (int k = 0; k <= static_cast<int>(IndexKind::kScoredIrHint); ++k) {
+    const IndexKind kind = static_cast<IndexKind>(k);
+    ASSERT_NE(CreateIndex(kind), nullptr);
+    EXPECT_EQ(names_per_kind[kind], 1) << IndexKindName(kind);
+  }
+  for (const char* bad : {"", "bogus", "scored-irHINT", "irhint_perf",
+                          "irhint-perf "}) {
+    EXPECT_TRUE(ParseIndexKind(bad).status().IsInvalidArgument()) << bad;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -182,13 +183,18 @@ TEST(ScoredIndexTest, EdgeCases) {
   auto* scored = dynamic_cast<ScoredIndex*>(index.get());
   ASSERT_NE(scored, nullptr);
 
-  // k far beyond the result set returns every match, still ranked.
+  // k far beyond the result set returns every match, still ranked. The
+  // largest k must not size the traversal's heap (it would reserve
+  // 64 GiB).
   const Query query(Interval(0, 200000), {1});
   const Hits all = MustTopK(*index, query, 100000);
   EXPECT_EQ(all, MustOracle(*scored, query, 100000));
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_TRUE(ScoredBetter(all[i - 1], all[i]));
   }
+  constexpr uint32_t kHugeK = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(MustTopK(*index, query, kHugeK), all);
+  EXPECT_EQ(MustOracle(*scored, query, kHugeK), all);
 
   // k == 0 and element-less queries are empty, not errors.
   EXPECT_TRUE(MustTopK(*index, query, 0).empty());
@@ -433,14 +439,20 @@ TEST(ServeTopKTest, ServerLoopSpeaksTopk) {
   std::unique_ptr<TemporalIrIndex> direct =
       CreateIndex(IndexKind::kScoredIrHint);
   ASSERT_TRUE(direct->Build(corpus).ok());
-  const Hits want = MustTopK(*direct, Query(Interval(0, 200000), {1, 2}), 3);
-  std::ostringstream expected;
-  expected << "OK " << want.size();
-  for (const ScoredHit& hit : want) expected << " " << hit.id << ":"
-                                             << hit.score;
+  auto reply = [&](uint32_t k) {
+    const Hits want = MustTopK(*direct, Query(Interval(0, 200000), {1, 2}), k);
+    std::ostringstream expected;
+    expected << "OK " << want.size();
+    for (const ScoredHit& hit : want) {
+      expected << " " << hit.id << ":" << hit.score;
+    }
+    return expected.str();
+  };
 
+  // The largest k answers every match, and the engine keeps serving.
   std::istringstream in(
       "topk 3 0 200000 1 2\n"
+      "topk 4294967295 0 200000 1 2\n"
       "topk\n"
       "quit\n");
   std::ostringstream out;
@@ -448,9 +460,48 @@ TEST(ServeTopKTest, ServerLoopSpeaksTopk) {
   std::istringstream lines(out.str());
   std::string line;
   ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, expected.str());
+  EXPECT_EQ(line, reply(3));
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, reply(std::numeric_limits<uint32_t>::max()));
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_EQ(line.rfind("ERR", 0), 0u) << line;
+}
+
+// Fan-out of element-less top-k queries, observed through the per-shard
+// submitted counters: bucket 0 of each time shard, the rule for requests
+// without an element to pick a bucket by (element-less objects live
+// there). The answer is an empty top-k on a scored kind and NotSupported
+// on a plain one. An element-less Boolean query, by contrast, visits
+// every bucket (ServeEngineTest.EmptyElementQueriesFanOutToAllBuckets).
+TEST(ServeTopKTest, ElementLessQueriesVisitBucketZero) {
+  const Corpus corpus = MakeCorpus(600);
+  for (const IndexKind kind :
+       {IndexKind::kScoredIrHint, IndexKind::kIrHintPerf}) {
+    serve::ServeOptions options;
+    options.time_shards = 3;
+    options.term_buckets = 4;
+    options.kind = kind;
+    StatusOr<std::unique_ptr<serve::ServeEngine>> engine =
+        serve::ServeEngine::Create(corpus, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+    const StatusOr<Hits> result =
+        (*engine)->ExecuteTopK(Query(Interval(0, 200000), {}), 5);
+    if (KindSupportsTopK(kind)) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->empty());
+    } else {
+      EXPECT_TRUE(result.status().IsNotSupported())
+          << result.status().ToString();
+    }
+    (*engine)->WaitIdle();
+    const serve::EngineStats stats = (*engine)->Stats();
+    EXPECT_EQ(stats.total_submitted, 3u) << IndexKindName(kind);
+    for (size_t shard = 0; shard < stats.shards.size(); ++shard) {
+      EXPECT_EQ(stats.shards[shard].submitted, shard % 4 == 0 ? 1u : 0u)
+          << IndexKindName(kind) << " shard " << shard;
+    }
+  }
 }
 
 // Concurrent ranked and Boolean traffic through the engine: every thread

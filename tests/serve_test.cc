@@ -1,6 +1,7 @@
 // Tests of the sharded serving engine (src/serve/): routing and merge
-// against a NaiveScan ground truth and a 1-shard engine, the Boolean
-// merge against sort + unique on random legs, batching and duplicate
+// against a NaiveScan ground truth and a 1-shard engine, every request
+// kind at the router's edges against the direct index, the Boolean merge
+// against sort + unique on random legs, batching and duplicate
 // coalescing, admission control under a slow-shard fault, live updates
 // through the shard queues, durable mode, and the line-oriented server
 // loop.
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "core/factory.h"
 #include "data/query_gen.h"
 #include "data/synthetic.h"
+#include "rank/scored_index.h"
 #include "serve/engine.h"
 #include "serve/server_loop.h"
 
@@ -55,6 +58,41 @@ Ids MustGet(ResultFuture future) {
   StatusOr<Ids> result = future.Get();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? *std::move(result) : Ids();
+}
+
+// Intervals at the router's edges for `engine`'s layout: for every time
+// shard a single point at its first time point, an interval inverted
+// inside it and one ending at the last shard's saturated end; for every
+// shard boundary an interval straddling it, the same one inverted, and
+// the two points around it.
+std::vector<Interval> EdgeIntervals(const ServeEngine& engine) {
+  constexpr Time kEnd = std::numeric_limits<Time>::max();
+  std::vector<Interval> edges = {Interval(0, kEnd), Interval(kEnd, kEnd),
+                                 Interval(kEnd, 0)};
+  for (uint32_t t = 0; t < engine.time_shards(); ++t) {
+    const Time lo = engine.shard_time_range(t * engine.term_buckets()).st;
+    edges.emplace_back(lo, lo);
+    edges.emplace_back(lo + 2000, lo + 1000);
+    edges.emplace_back(lo + 100, kEnd);
+    if (lo > 0) {
+      edges.emplace_back(lo - 1500, lo + 1500);
+      edges.emplace_back(lo + 1500, lo - 1500);
+      edges.emplace_back(lo - 1, lo);
+    }
+  }
+  return edges;
+}
+
+struct Geometry {
+  uint32_t shards, buckets;
+};
+constexpr Geometry kEdgeGeometries[] = {{1, 1}, {3, 1}, {3, 2}, {4, 4}};
+
+// Element-less, one-element and two-element descriptions drawn from the
+// corpus, so the non-empty ones match something.
+std::vector<std::vector<ElementId>> EdgeDescriptions(const Corpus& corpus) {
+  const std::vector<ElementId>& d = corpus.object(0).elements;
+  return {{}, {d[0]}, {d[0], d[1]}};
 }
 
 TEST(TermBucketTest, DeterministicAndInRange) {
@@ -294,6 +332,135 @@ TEST(ServeEngineTest, EmptyElementQueriesFanOutToAllBuckets) {
   (*engine)->WaitIdle();
   stats = (*engine)->Stats();
   EXPECT_EQ(stats.total_submitted, 15u);
+}
+
+// `object` with an inverted interval: it starts one past its end.
+Object Inverted(const Object& object) {
+  return Object(object.id,
+                Interval(object.interval.end + 1, object.interval.st),
+                object.elements);
+}
+
+// The engine answers like the direct index for every request kind and
+// shard layout, at the router's edges (EdgeIntervals): Boolean queries
+// like a sorted NaiveScan, before and after interleaved inserts and
+// erases mirrored into it. An inverted interval covers no time point, so
+// a Boolean query over one matches nothing, and an inverted insert or
+// erase is refused without burning an id, whichever shards its endpoints
+// fall in.
+TEST(ServeEngineTest, AnswersLikeTheDirectIndexAtRoutingEdges) {
+  const Corpus corpus = TestCorpus(600);
+  const size_t offline = corpus.size() * 3 / 4;
+  const Corpus prefix = corpus.Prefix(offline);
+  const std::vector<std::vector<ElementId>> descriptions =
+      EdgeDescriptions(corpus);
+
+  for (const Geometry g : kEdgeGeometries) {
+    SCOPED_TRACE(std::to_string(g.shards) + "x" + std::to_string(g.buckets));
+    ServeOptions options;
+    options.time_shards = g.shards;
+    options.term_buckets = g.buckets;
+    StatusOr<std::unique_ptr<ServeEngine>> engine =
+        ServeEngine::Create(prefix, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::unique_ptr<TemporalIrIndex> mirror =
+        CreateIndex(IndexKind::kNaiveScan);
+    ASSERT_TRUE(mirror->Build(prefix).ok());
+
+    const std::vector<Interval> edges = EdgeIntervals(**engine);
+    auto expect_match = [&](const char* stage) {
+      for (const Interval& interval : edges) {
+        for (const std::vector<ElementId>& elements : descriptions) {
+          const Query query(interval, elements);
+          Ids want;
+          if (interval.st <= interval.end) mirror->Query(query, &want);
+          std::sort(want.begin(), want.end());
+          EXPECT_EQ(MustGet((*engine)->Submit(query)), want)
+              << stage << ": [" << interval.st << ", " << interval.end
+              << "] with " << elements.size() << " elements";
+        }
+      }
+    };
+    expect_match("after build");
+
+    for (size_t i = offline; i < corpus.size(); ++i) {
+      const Object& object = corpus.object(static_cast<ObjectId>(i));
+      EXPECT_TRUE((*engine)->Insert(Inverted(object)).IsInvalidArgument());
+      EXPECT_EQ((*engine)->next_object_id(), object.id);
+      ASSERT_TRUE((*engine)->Insert(object).ok());
+      ASSERT_TRUE(mirror->Insert(object).ok());
+      if (i % 3 == 0) {
+        const Object& old = corpus.object(static_cast<ObjectId>(i - offline));
+        EXPECT_TRUE((*engine)->Erase(Inverted(old)).IsInvalidArgument());
+        ASSERT_TRUE((*engine)->Erase(old).ok());
+        ASSERT_TRUE(mirror->Erase(old).ok());
+      }
+    }
+    EXPECT_EQ((*engine)->next_object_id(), corpus.size());
+    expect_match("after updates");
+  }
+}
+
+// The top-k half of the property above: ranked answers equal TopKOracle
+// on a mirrored scored index, statuses included (an inverted interval is
+// InvalidArgument on every layout, an element-less query an empty top-k).
+TEST(ServeEngineTest, TopKAnswersLikeTheOracleAtRoutingEdges) {
+  const Corpus corpus = TestCorpus(600);
+  const size_t offline = corpus.size() * 3 / 4;
+  const Corpus prefix = corpus.Prefix(offline);
+  const std::vector<std::vector<ElementId>> descriptions =
+      EdgeDescriptions(corpus);
+
+  for (const Geometry g : kEdgeGeometries) {
+    SCOPED_TRACE(std::to_string(g.shards) + "x" + std::to_string(g.buckets));
+    ServeOptions options;
+    options.time_shards = g.shards;
+    options.term_buckets = g.buckets;
+    options.kind = IndexKind::kScoredIrHint;
+    StatusOr<std::unique_ptr<ServeEngine>> engine =
+        ServeEngine::Create(prefix, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ScoredIndex mirror(ScoredIndexOptions{}, IndexConfig{});
+    ASSERT_TRUE(mirror.Build(prefix).ok());
+
+    const std::vector<Interval> edges = EdgeIntervals(**engine);
+    auto expect_match = [&](const char* stage) {
+      for (const Interval& interval : edges) {
+        for (const std::vector<ElementId>& elements : descriptions) {
+          for (const uint32_t k : {1u, 10u}) {
+            const Query query(interval, elements);
+            std::vector<ScoredHit> want;
+            const Status want_status = mirror.TopKOracle(query, k, &want);
+            const StatusOr<std::vector<ScoredHit>> got =
+                (*engine)->ExecuteTopK(query, k);
+            const std::string where =
+                std::string(stage) + ": [" + std::to_string(interval.st) +
+                ", " + std::to_string(interval.end) + "] with " +
+                std::to_string(elements.size()) + " elements, k=" +
+                std::to_string(k);
+            ASSERT_EQ(got.status(), want_status)
+                << where << ": " << got.status().ToString();
+            if (got.ok()) {
+              EXPECT_EQ(*got, want) << where;
+            }
+          }
+        }
+      }
+    };
+    expect_match("after build");
+
+    for (size_t i = offline; i < corpus.size(); ++i) {
+      const Object& object = corpus.object(static_cast<ObjectId>(i));
+      ASSERT_TRUE((*engine)->Insert(object).ok());
+      ASSERT_TRUE(mirror.Insert(object).ok());
+      if (i % 3 == 0) {
+        const Object& old = corpus.object(static_cast<ObjectId>(i - offline));
+        ASSERT_TRUE((*engine)->Erase(old).ok());
+        ASSERT_TRUE(mirror.Erase(old).ok());
+      }
+    }
+    expect_match("after updates");
+  }
 }
 
 // Live updates ride the shard queues: inserts spanning shard boundaries
@@ -552,6 +719,52 @@ TEST(ServerLoopTest, SpeaksTheLineProtocol) {
   bool saw_bye = false;
   while (std::getline(lines, line)) saw_bye = (line == "BYE");
   EXPECT_TRUE(saw_bye);
+}
+
+// An inverted interval is checked before routing, so it gets one answer
+// on every layout. Two shards over [0, 10^6] meet at 500000:
+// [600000, 400000] straddles the boundary, [400000, 300000] lies inside
+// shard 0. A Boolean query over either matches nothing; top-k, insert and
+// erase are refused, and the refused inserts burn no id.
+TEST(ServerLoopTest, InvertedIntervalsGetOneAnswerOnEveryLayout) {
+  Corpus corpus;
+  corpus.Append(Interval(300000, 700000), {1, 3});
+  corpus.DeclareDomain(1000000);
+  ASSERT_TRUE(corpus.Finalize().ok());
+
+  ServeOptions options;
+  options.time_shards = 2;
+  options.kind = IndexKind::kScoredIrHint;
+  StatusOr<std::unique_ptr<ServeEngine>> engine =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_EQ((*engine)->shard_time_range(1).st, 500000u);
+
+  std::istringstream in(
+      "insert 600000 400000 3\n"
+      "insert 400000 300000 3\n"
+      "erase 0 700000 300000 1 3\n"
+      "query 600000 400000 3\n"
+      "query 400000 300000 3\n"
+      "topk 5 600000 400000 3\n"
+      "topk 5 400000 300000 3\n"
+      "insert 10 20 3\n"
+      "query 0 1000000 3\n");
+  std::ostringstream out;
+  EXPECT_EQ(RunServerLoop(engine->get(), in, out), 9u);
+  const std::vector<std::string> want = {
+      "ERR InvalidArgument", "ERR InvalidArgument", "ERR InvalidArgument",
+      "OK 0",                "OK 0",                "ERR InvalidArgument",
+      "ERR InvalidArgument", "OK id=1",             "OK 2 0 1"};
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const std::string& prefix : want) {
+    ASSERT_TRUE(std::getline(lines, line)) << "missing reply " << prefix;
+    EXPECT_EQ(line.substr(0, prefix.size()), prefix) << line;
+    if (prefix.rfind("OK", 0) == 0) {
+      EXPECT_EQ(line, prefix);
+    }
+  }
 }
 
 // An element id at or past kElementIdLimit is refused at the engine: an

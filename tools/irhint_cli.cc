@@ -33,15 +33,20 @@
 //       [--count N] [--start N] (object range to ingest; default: all)
 //       [--verify 1]  (answer a workload on the ingested index and on a
 //                      NaiveScan over the same objects, compare)
-//   serve      run the sharded serving engine over stdin/stdout (the same
-//              loop as the irhint_server binary; see src/serve/server_loop.h)
+//   serve      run the sharded serving engine behind the line protocol of
+//              src/serve/server_loop.h on stdin/stdout
 //       --in FILE [--shards N] [--buckets N] [--index NAME]
 //       [--queue-depth N] [--max-batch N]
 //       [--wal-dir DIR] [--durability none|batch|always]
 //       [--checkpoint-bytes N]
+//       e.g. irhint_cli generate --out c.bin --cardinality 20000
+//                --domain 1000000
+//            printf 'query 0 500000 3 17\nstats\nquit\n' |
+//                irhint_cli serve --in c.bin
 //
-// Index names: tif, slicing, sharding, hint-bs, hint-ms, hybrid,
-// irhint-perf (default), irhint-size, scored-tif, scored-irhint.
+// Index names (ParseIndexKind; any other name is refused): naive, tif,
+// slicing, sharding, hint-bs, hint-ms, hybrid, irhint-perf (default),
+// irhint-size, scored-tif, scored-irhint.
 
 #include <algorithm>
 #include <cstdio>
@@ -111,17 +116,14 @@ int Usage() {
   return 2;
 }
 
-IndexKind KindFromName(const std::string& name) {
-  if (name == "tif") return IndexKind::kTif;
-  if (name == "slicing") return IndexKind::kTifSlicing;
-  if (name == "sharding") return IndexKind::kTifSharding;
-  if (name == "hint-bs") return IndexKind::kTifHintBinarySearch;
-  if (name == "hint-ms") return IndexKind::kTifHintMergeSort;
-  if (name == "hybrid") return IndexKind::kTifHintSlicing;
-  if (name == "irhint-size") return IndexKind::kIrHintSize;
-  if (name == "scored-tif") return IndexKind::kScoredTif;
-  if (name == "scored-irhint") return IndexKind::kScoredIrHint;
-  return IndexKind::kIrHintPerf;
+/// The --index flag, or `fallback` when it is absent. An unknown name is
+/// reported on stderr and comes back as an error.
+StatusOr<IndexKind> KindFromArgs(const Args& args, const char* fallback) {
+  StatusOr<IndexKind> kind = ParseIndexKind(args.Get("index", fallback));
+  if (!kind.ok()) {
+    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
+  }
+  return kind;
 }
 
 int Generate(const Args& args) {
@@ -157,32 +159,46 @@ int Generate(const Args& args) {
   return 0;
 }
 
+/// The --in corpus; a failure is reported on stderr and comes back as an
+/// error.
 StatusOr<Corpus> LoadFromArgs(const Args& args) {
-  if (!args.Has("in")) return Status::InvalidArgument("--in required");
-  return LoadCorpus(args.Get("in", ""));
+  StatusOr<Corpus> corpus = Status::InvalidArgument("--in required");
+  if (args.Has("in")) corpus = LoadCorpus(args.Get("in", ""));
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "load failed: %s\n",
+                 corpus.status().ToString().c_str());
+  }
+  return corpus;
+}
+
+/// The query given by --st, --end and --elements e1,e2,...
+Query QueryFromArgs(const Args& args) {
+  std::vector<ElementId> elements;
+  const char* spec = args.Get("elements", "");
+  while (*spec != '\0') {
+    char* next = nullptr;
+    elements.push_back(
+        static_cast<ElementId>(std::strtoull(spec, &next, 10)));
+    spec = (*next == ',') ? next + 1 : next;
+  }
+  return Query(Interval(args.GetU64("st", 0), args.GetU64("end", 0)),
+               std::move(elements));
 }
 
 int Stats(const Args& args) {
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return 1;
   std::printf("%s", corpus->Stats().ToString().c_str());
   return 0;
 }
 
 int Build(const Args& args) {
   if (!args.Has("save")) return Usage();
+  const StatusOr<IndexKind> kind = KindFromArgs(args, "irhint-perf");
+  if (!kind.ok()) return 1;
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
-  std::unique_ptr<TemporalIrIndex> index =
-      CreateIndex(KindFromName(args.Get("index", "irhint-perf")));
+  if (!corpus.ok()) return 1;
+  std::unique_ptr<TemporalIrIndex> index = CreateIndex(*kind);
   const BuildStats build = MeasureBuild(index.get(), *corpus);
   if (build.seconds < 0) {
     std::fprintf(stderr, "build failed\n");
@@ -204,11 +220,7 @@ int Build(const Args& args) {
 
 int Bench(const Args& args) {
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return 1;
   std::unique_ptr<TemporalIrIndex> index;
   if (args.Has("load")) {
     SnapshotReadOptions options;
@@ -228,7 +240,9 @@ int Bench(const Args& args) {
                 seconds, options.use_mmap ? "mmap" : "buffered",
                 static_cast<double>(index->MemoryUsageBytes()) / 1048576.0);
   } else {
-    index = CreateIndex(KindFromName(args.Get("index", "irhint-perf")));
+    const StatusOr<IndexKind> kind = KindFromArgs(args, "irhint-perf");
+    if (!kind.ok()) return 1;
+    index = CreateIndex(*kind);
     const BuildStats build = MeasureBuild(index.get(), *corpus);
     if (build.seconds < 0) {
       std::fprintf(stderr, "build failed\n");
@@ -327,31 +341,19 @@ int Bench(const Args& args) {
 }
 
 int RunQuery(const Args& args) {
+  const StatusOr<IndexKind> kind = KindFromArgs(args, "irhint-perf");
+  if (!kind.ok()) return 1;
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return 1;
   if (!args.Has("st") || !args.Has("end") || !args.Has("elements")) {
     return Usage();
   }
-  std::vector<ElementId> elements;
-  const char* spec = args.Get("elements", "");
-  while (*spec != '\0') {
-    char* next = nullptr;
-    elements.push_back(
-        static_cast<ElementId>(std::strtoull(spec, &next, 10)));
-    spec = (*next == ',') ? next + 1 : next;
-  }
-  std::unique_ptr<TemporalIrIndex> index =
-      CreateIndex(KindFromName(args.Get("index", "irhint-perf")));
+  std::unique_ptr<TemporalIrIndex> index = CreateIndex(*kind);
   if (Status st = index->Build(*corpus); !st.ok()) {
     std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  Query query(Interval(args.GetU64("st", 0), args.GetU64("end", 0)),
-              std::move(elements));
+  const Query query = QueryFromArgs(args);
   std::vector<ObjectId> results;
   Timer timer;
   index->Query(query, &results);
@@ -365,31 +367,19 @@ int RunQuery(const Args& args) {
 }
 
 int TopK(const Args& args) {
+  const StatusOr<IndexKind> kind = KindFromArgs(args, "scored-irhint");
+  if (!kind.ok()) return 1;
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return 1;
   if (!args.Has("st") || !args.Has("end") || !args.Has("elements")) {
     return Usage();
   }
-  std::vector<ElementId> elements;
-  const char* spec = args.Get("elements", "");
-  while (*spec != '\0') {
-    char* next = nullptr;
-    elements.push_back(
-        static_cast<ElementId>(std::strtoull(spec, &next, 10)));
-    spec = (*next == ',') ? next + 1 : next;
-  }
-  std::unique_ptr<TemporalIrIndex> index =
-      CreateIndex(KindFromName(args.Get("index", "scored-irhint")));
+  std::unique_ptr<TemporalIrIndex> index = CreateIndex(*kind);
   if (Status st = index->Build(*corpus); !st.ok()) {
     std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  Query query(Interval(args.GetU64("st", 0), args.GetU64("end", 0)),
-              std::move(elements));
+  const Query query = QueryFromArgs(args);
   const uint32_t k = static_cast<uint32_t>(args.GetU64("k", 10));
   std::vector<ScoredHit> hits;
   Timer timer;
@@ -425,15 +415,13 @@ int TopK(const Args& args) {
 
 int Ingest(const Args& args) {
   if (!args.Has("wal-dir")) return Usage();
+  const StatusOr<IndexKind> kind = KindFromArgs(args, "irhint-perf");
+  if (!kind.ok()) return 1;
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return 1;
 
   DurableIndexOptions options;
-  options.kind = KindFromName(args.Get("index", "irhint-perf"));
+  options.kind = *kind;
   StatusOr<WalDurability> durability =
       ParseWalDurability(args.Get("durability", "batch"));
   if (!durability.ok()) {
@@ -552,17 +540,15 @@ int Ingest(const Args& args) {
 }
 
 int Serve(const Args& args) {
+  const StatusOr<IndexKind> kind = KindFromArgs(args, "irhint-perf");
+  if (!kind.ok()) return 1;
   StatusOr<Corpus> corpus = LoadFromArgs(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return 1;
 
   serve::ServeOptions options;
   options.time_shards = static_cast<uint32_t>(args.GetU64("shards", 4));
   options.term_buckets = static_cast<uint32_t>(args.GetU64("buckets", 1));
-  options.kind = KindFromName(args.Get("index", "irhint-perf"));
+  options.kind = *kind;
   options.max_queue_depth = args.GetU64("queue-depth", 1024);
   options.max_batch = args.GetU64("max-batch", 64);
   options.wal_dir = args.Get("wal-dir", "");
