@@ -39,6 +39,7 @@ Status NaiveScan::Erase(const Object& object) {
 void NaiveScan::Query(const irhint::Query& query, std::vector<ObjectId>* out) const {
   out->clear();
   if (query.elements.empty()) return;
+  if (query.interval.st > query.interval.end) return;
   std::vector<ElementId> sorted = query.elements;
   std::sort(sorted.begin(), sorted.end());
   for (size_t i = 0; i < objects_.size(); ++i) {

@@ -37,7 +37,9 @@ class TemporalIrIndex {
   /// \brief Build from a finalized corpus. May be called once.
   virtual Status Build(const Corpus& corpus) = 0;
 
-  /// \brief Evaluate a time-travel IR query. `out` is cleared first.
+  /// \brief Evaluate a time-travel IR query. `out` is cleared first. An
+  /// inverted interval (st > end) covers no time point, so it matches
+  /// nothing on every kind.
   virtual void Query(const irhint::Query& query, std::vector<ObjectId>* out) const = 0;
 
   /// \brief Ranked top-k retrieval (DESIGN.md §12): among the live objects

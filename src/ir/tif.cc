@@ -98,6 +98,7 @@ void TemporalInvertedFile::Query(const irhint::Query& query,
                                  std::vector<ObjectId>* out) const {
   out->clear();
   if (query.elements.empty()) return;
+  if (query.interval.st > query.interval.end) return;
 
   // Algorithm 1, lines 2-3: consider elements by increasing frequency.
   std::vector<ElementId> elements = query.elements;

@@ -255,6 +255,7 @@ void TifSharding::Query(const irhint::Query& query,
                         std::vector<ObjectId>* out) const {
   out->clear();
   if (query.elements.empty()) return;
+  if (query.interval.st > query.interval.end) return;
 
   std::vector<ElementId> elements = query.elements;
   std::sort(elements.begin(), elements.end(),

@@ -71,6 +71,7 @@ void TifSlicing::Query(const irhint::Query& query,
                        std::vector<ObjectId>* out) const {
   out->clear();
   if (query.elements.empty()) return;
+  if (query.interval.st > query.interval.end) return;
 
   std::vector<ElementId> elements = query.elements;
   std::sort(elements.begin(), elements.end(),

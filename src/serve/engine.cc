@@ -214,6 +214,11 @@ LegFuture<Hit> ServeEngine::FanOut(Shard::Request request) {
   }
   auto state = std::make_shared<LegState<Hit>>(
       static_cast<uint32_t>(cells.size()), request.k);
+  // Condition (a) of who runs a leg (DESIGN.md §11): no other future of
+  // this engine is open. Condition (b), an idle target shard, is the
+  // shard's to check.
+  const bool quiet = open_futures_->fetch_add(1) == 0;
+  LegFuture<Hit> future(state, open_futures_);
   if (inverted && request.kind != Kind::kQuery) {
     state->FailLeg(Status::InvalidArgument("query interval is inverted"));
   }
@@ -222,14 +227,18 @@ LegFuture<Hit> ServeEngine::FanOut(Shard::Request request) {
   } else {
     request.result = state;
   }
-  const auto enqueue = [&](size_t shard, Shard::Request leg) {
-    const Status queued = shards_[shard]->Submit(std::move(leg));
-    if (!queued.ok()) state->FailLeg(queued);
+  const auto submit = [&](size_t shard, Shard::Request leg, bool may_run) {
+    const Status admitted = shards_[shard]->Submit(std::move(leg), may_run);
+    if (!admitted.ok()) state->FailLeg(admitted);
   };
-  // Every leg but the last gets a copy; the last takes the request.
-  for (size_t i = 0; i + 1 < cells.size(); ++i) enqueue(cells[i], request);
-  if (!cells.empty()) enqueue(cells.back(), std::move(request));
-  return LegFuture<Hit>(std::move(state));
+  // Every leg but the last gets a copy and is queued first, so the legs
+  // run in parallel; the last takes the request, and on a quiet engine
+  // the caller may run it.
+  for (size_t i = 0; i + 1 < cells.size(); ++i) {
+    submit(cells[i], request, false);
+  }
+  if (!cells.empty()) submit(cells.back(), std::move(request), quiet);
+  return future;
 }
 
 ResultFuture ServeEngine::Submit(const Query& query) {
@@ -316,6 +325,7 @@ EngineStats ServeEngine::Stats() const {
     stats.total_executed_queries += s.executed_queries;
     stats.total_dedup_hits += s.dedup_hits;
     stats.total_updates_applied += s.updates_applied;
+    stats.total_ran_on_caller += s.ran_on_caller;
     stats.total_batches += s.batches;
     stats.max_queue_depth = std::max(stats.max_queue_depth, s.queue_depth);
     stats.max_peak_queue_depth =

@@ -17,11 +17,17 @@
 // legs deterministically (serve/result_future.h), so results are
 // byte-identical to a 1-shard engine for any shard/bucket/thread count.
 //
-// Updates: Insert/Erase route like placement and ride the per-shard
-// queues (the worker is the only thread touching its index, so plain
-// indexes need no locking). The engine is single-writer, like the paper's
-// Section 5.5 update model: one thread issues updates with strictly
-// increasing ids; queries are fully concurrent.
+// Who runs a leg: a request's last leg runs on the submitting thread when
+// the engine is quiet — no other future it handed out is open, and the
+// target shard is idle — and is queued for the shard worker otherwise.
+// Its other legs are always queued first, so they run in parallel. The
+// rule reads only state the engine already has (DESIGN.md §11).
+//
+// Updates: Insert/Erase route like placement and take the same path (the
+// holder of a shard's execution token is the only thread touching its
+// index, so plain indexes need no locking). The engine is single-writer,
+// like the paper's Section 5.5 update model: one thread issues updates
+// with strictly increasing ids; queries are fully concurrent.
 
 #ifndef IRHINT_SERVE_ENGINE_H_
 #define IRHINT_SERVE_ENGINE_H_
@@ -82,6 +88,7 @@ struct EngineStats {
   uint64_t total_executed_queries = 0;
   uint64_t total_dedup_hits = 0;
   uint64_t total_updates_applied = 0;
+  uint64_t total_ran_on_caller = 0;
   uint64_t total_batches = 0;
   uint64_t max_queue_depth = 0;
   uint64_t max_peak_queue_depth = 0;
@@ -109,8 +116,10 @@ class ServeEngine {
 
   /// \brief Route the query to the shards overlapping its interval and
   /// return a future over the merged result (empty for an inverted
-  /// interval). Never blocks on shard work; a full target queue fails
-  /// that leg with kUnavailable (the future's Get() then reports the shed).
+  /// interval). Never waits for other requests' work, but on a quiet
+  /// engine it runs one leg of its own request before returning (see
+  /// "Who runs a leg" above); a full target queue fails that leg with
+  /// kUnavailable (the future's Get() then reports the shed).
   ResultFuture Submit(const Query& query);
 
   /// \brief Submit + Get in one call.
@@ -176,8 +185,8 @@ class ServeEngine {
   void Route(bool conjunctive, const Interval& interval,
              const std::vector<ElementId>& elements,
              std::vector<size_t>* cells) const;
-  /// Route `request`, enqueue one leg per target shard and return the
-  /// future over the merged legs.
+  /// Route `request`, submit one leg per target shard (the last one may
+  /// run on the caller) and return the future over the merged legs.
   template <typename Hit>
   LegFuture<Hit> FanOut(Shard::Request request);
   Status Update(Shard::Request::Kind kind, const Object& object);
@@ -194,6 +203,9 @@ class ServeEngine {
   std::vector<std::unique_ptr<Shard>> shards_;  // unguarded: immutable ptrs
   // Single-writer id allocator for AppendInsert (monitoring reads relaxed).
   std::atomic<ObjectId> next_object_id_{0};
+  // unguarded: atomic; shared with every future handed out (result_future.h)
+  const std::shared_ptr<OpenFutures> open_futures_ =
+      std::make_shared<OpenFutures>(0);
 };
 
 }  // namespace serve

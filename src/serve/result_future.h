@@ -1,12 +1,13 @@
 // Completion futures shared between the query router and the shard
 // workers. A routed request owns one LegState with one "leg" per target
 // shard; legs complete (or fail) in any order on the shard worker
-// threads, and the submitting client blocks in LegFuture::Get() until
-// every leg has landed. Get() then merges the legs on the client's
-// thread. The merge is deterministic, so the final result is
-// byte-identical for any shard count, bucket count, thread count or
-// completion order (the property tests/serve_test.cc locks in). The hit
-// type selects the merge and nothing else:
+// threads (or on the submitting thread, for a leg it ran itself), and the
+// submitting client blocks in LegFuture::Get() until every leg has
+// landed. Get() then merges the legs on the client's thread. The merge is
+// deterministic, so the final result is byte-identical for any shard
+// count, bucket count, thread count or completion order (the property
+// tests/serve_test.cc locks in). The hit type selects the merge and
+// nothing else:
 //   * ObjectId (Boolean queries; updates carry empty legs): MergeIds,
 //     sorted and duplicate-free ids;
 //   * ScoredHit (ranked top-k, DESIGN.md §12): MergeTopK, the global
@@ -16,11 +17,19 @@
 // "serve::LegState::mu" — it is never held while acquiring another lock
 // (completion moves the payload in, Wait() moves the legs out and merges
 // after releasing it), so it cannot participate in a cycle.
+//
+// Open futures: the engine counts the futures it has handed out and not
+// yet retired (OpenFutures), and runs a leg on the submitting thread only
+// when no other future is open (DESIGN.md §11, "Who runs a leg"). A
+// future retires its request once, when Get() returns or when it is
+// destroyed unresolved. Futures are move-only, so no copy can retire a
+// request twice; a moved-from future is empty and retires nothing.
 
 #ifndef IRHINT_SERVE_RESULT_FUTURE_H_
 #define IRHINT_SERVE_RESULT_FUTURE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -173,29 +182,65 @@ class LegState {
   Status error_ IRHINT_GUARDED_BY(mu_);
 };
 
-/// \brief Client-side handle on a submitted request. Move-friendly thin
-/// wrapper; Get() blocks until the router's legs are all resolved.
+/// \brief The number of futures an engine has handed out and not yet
+/// retired. The engine and its futures share it through a shared_ptr, so a
+/// future may outlive its engine. Only client threads change it: the
+/// engine as it hands a future out, the future as it retires.
+using OpenFutures = std::atomic<uint64_t>;
+
+/// \brief Client-side handle on a submitted request. Move-only, with a
+/// single consumer, like std::future; Get() blocks until the router's
+/// legs are all resolved.
 template <typename Hit>
 class LegFuture {
  public:
   LegFuture() = default;
-  explicit LegFuture(std::shared_ptr<LegState<Hit>> state)
-      : state_(std::move(state)) {}
+  /// \param open  the engine's open-future count, already incremented for
+  ///              this request; the future decrements it when it retires.
+  LegFuture(std::shared_ptr<LegState<Hit>> state,
+            std::shared_ptr<OpenFutures> open)
+      : state_(std::move(state)), open_(std::move(open)) {}
+
+  LegFuture(LegFuture&&) noexcept = default;
+  LegFuture& operator=(LegFuture&& other) noexcept {
+    if (this != &other) {
+      Retire();
+      state_ = std::move(other.state_);
+      open_ = std::move(other.open_);
+    }
+    return *this;
+  }
+  LegFuture(const LegFuture&) = delete;
+  LegFuture& operator=(const LegFuture&) = delete;
+  /// An unresolved future retires its request here; the legs still run.
+  ~LegFuture() { Retire(); }
 
   bool valid() const { return state_ != nullptr; }
   bool Ready() const { return state_ != nullptr && state_->Ready(); }
 
-  /// \brief Block for the merged result (see LegState::Wait).
+  /// \brief Block for the merged result (see LegState::Wait), then retire
+  /// the request.
   StatusOr<std::vector<Hit>> Get() {
     if (state_ == nullptr) {
       return Status::InvalidArgument("Get() on an empty future");
     }
-    return state_->Wait();
+    StatusOr<std::vector<Hit>> result = state_->Wait();
+    Retire();
+    return result;
   }
 
  private:
+  void Retire() {
+    if (open_ != nullptr) {
+      open_->fetch_sub(1);
+      open_.reset();
+    }
+  }
+
   // unguarded: owned by the single client thread holding the future
   std::shared_ptr<LegState<Hit>> state_;
+  // unguarded: as state_; null once the request has retired
+  std::shared_ptr<OpenFutures> open_;
 };
 
 using ResultState = LegState<ObjectId>;

@@ -37,6 +37,7 @@ void PrintStats(const EngineStats& stats, std::ostream& out) {
   out << "stat dedup_hits " << stats.total_dedup_hits << "\n";
   out << "stat updates_applied " << stats.total_updates_applied << "\n";
   out << "stat batches " << stats.total_batches << "\n";
+  out << "stat ran_on_caller " << stats.total_ran_on_caller << "\n";
   out << "stat queue_depth " << stats.max_queue_depth << "\n";
   out << "stat peak_queue_depth " << stats.max_peak_queue_depth << "\n";
 }

@@ -57,7 +57,7 @@ void Shard::Stop() {
   if (worker_.joinable()) worker_.join();
 }
 
-Status Shard::Submit(Request request) {
+Status Shard::Submit(Request request, bool caller_may_run) {
   // Localized at enqueue so the batch executor's duplicate grouping
   // compares shard-local coordinates.
   request.query.interval = Localize(request.query.interval);
@@ -71,17 +71,50 @@ Status Shard::Submit(Request request) {
       idle_cv_.Wait(&mu_);
     }
     if (stopping_) return Status::Unavailable("shard is shutting down");
-    if (queue_.size() < options_.max_queue_depth) {
+    // Everything admitted earlier has finished, so running the leg now
+    // keeps admission order.
+    caller_may_run = caller_may_run && queue_.empty() && !executing_;
+    if (caller_may_run) {
+      executing_ = true;
+    } else if (queue_.size() < options_.max_queue_depth) {
       queue_.push_back(std::move(request));
       submitted_.fetch_add(1, std::memory_order_relaxed);
       BumpMax(peak_queue_depth_, queue_.size());
-      work_cv_.NotifyOne();
+      // A token holder hands off when it releases the token.
+      if (!executing_) work_cv_.NotifyOne();
       return Status::OK();
     }
+  }
+  if (caller_may_run) {
+    RunOnCaller(std::move(request));
+    return Status::OK();
   }
   shed_.fetch_add(1, std::memory_order_relaxed);
   return Status::Unavailable("shard " + std::to_string(shard_index_) +
                              " queue full; query shed");
+}
+
+void Shard::RunOnCaller(Request request) {
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  ran_on_caller_.fetch_add(1, std::memory_order_relaxed);
+  // Gives the token back even if the leg throws (bad_alloc), so the shard
+  // is never left without an executor.
+  struct TokenRelease {
+    Shard* shard;
+    ~TokenRelease() {
+      MutexLock lock(&shard->mu_);
+      shard->executing_ = false;
+      // Requests that queued while the token was out, or a Stop() that
+      // came meanwhile, need the worker; otherwise it sleeps on.
+      if (!shard->queue_.empty() || shard->stopping_) {
+        shard->work_cv_.NotifyOne();
+      }
+      if (shard->queue_.empty()) shard->idle_cv_.NotifyAll();
+    }
+  } release{this};
+  std::vector<Request> batch;
+  batch.push_back(std::move(request));
+  ExecuteBatch(&batch);
 }
 
 void Shard::WaitIdle() {
@@ -97,6 +130,7 @@ ShardStats Shard::Stats() const {
   stats.executed_queries = executed_queries_.load(std::memory_order_relaxed);
   stats.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
   stats.updates_applied = updates_applied_.load(std::memory_order_relaxed);
+  stats.ran_on_caller = ran_on_caller_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.max_batch = max_batch_.load(std::memory_order_relaxed);
   stats.peak_queue_depth = peak_queue_depth_.load(std::memory_order_relaxed);
@@ -115,8 +149,11 @@ void Shard::WorkerLoop() {
     batch.clear();
     {
       MutexLock lock(&mu_);
-      while (queue_.empty() && !stopping_) work_cv_.Wait(&mu_);
-      if (queue_.empty() && stopping_) return;
+      // Work alone is not enough: a submitter may hold the token.
+      while (executing_ || (queue_.empty() && !stopping_)) {
+        work_cv_.Wait(&mu_);
+      }
+      if (queue_.empty()) return;  // stopping, and drained
       const size_t take = std::min(queue_.size(), options_.max_batch);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {

@@ -1,7 +1,8 @@
 // One serving shard: a time-range (and optionally hashed-term) partition
 // of the corpus, owning its own TemporalIrIndex (plain in-memory or a
 // DurableIndex over a per-shard WAL directory) plus a bounded request
-// queue drained by a dedicated worker thread.
+// queue drained by a dedicated worker thread. A leg that finds the shard
+// idle on a quiet engine skips the queue: the submitting thread runs it.
 //
 // Batching: the worker pops every queued request up to max_batch in one
 // lock acquisition — the natural coalescing window is however long the
@@ -13,14 +14,20 @@
 // queue is at max_queue_depth (the router fails that leg with
 // kUnavailable and the shard counts a shed), but blocks an update —
 // shedding a query costs a retry, shedding an update would lose data — so
-// ingestion sees backpressure, not loss.
+// ingestion sees backpressure, not loss. A leg the caller runs never
+// queues, so it is never shed.
 //
-// Concurrency (DESIGN.md §11): "serve::Shard::queue" guards the queue and
-// the worker handshake; it is released before the batch executes, so index
-// locks (e.g. "DurableIndex::state") and the LegState leaf mutex are
-// only ever acquired with no shard lock held. The index and the local→
-// global id map are touched exclusively by the worker thread once Start()
-// has run (bulk build happens before, on the constructing thread).
+// Concurrency (DESIGN.md §11): "serve::Shard::queue" guards the queue, the
+// execution token (executing_) and the worker handshake. Whoever holds the
+// token is the only thread touching the index and the local→global id
+// map: the worker while it runs a batch, or a submitter running its own
+// leg (bulk build happens before Start(), on the constructing thread). The
+// token is taken and released under the lock, and the lock is released
+// before a batch executes, so index locks (e.g. "DurableIndex::state")
+// and the LegState leaf mutex are only ever acquired with no shard lock
+// held. The worker waits for the token as well as for work; a submitter
+// releasing the token wakes it only if requests queued meanwhile or the
+// shard is stopping.
 
 #ifndef IRHINT_SERVE_SHARD_H_
 #define IRHINT_SERVE_SHARD_H_
@@ -49,13 +56,14 @@ namespace serve {
 /// Snapshot reads are relaxed and best-effort (monitoring semantics, like
 /// QueryCounters).
 struct ShardStats {
-  uint64_t submitted = 0;        ///< requests accepted into the queue
+  uint64_t submitted = 0;        ///< requests accepted (queued or run)
   uint64_t shed = 0;             ///< queries rejected at max_queue_depth
   uint64_t completed = 0;        ///< requests resolved (incl. dedup twins)
   uint64_t executed_queries = 0; ///< distinct index descents performed
   uint64_t dedup_hits = 0;       ///< batched duplicates served by a twin
   uint64_t updates_applied = 0;  ///< inserts + erases applied
-  uint64_t batches = 0;          ///< worker wakeups that processed >= 1 req
+  uint64_t ran_on_caller = 0;    ///< legs run by their submitting thread
+  uint64_t batches = 0;          ///< batches executed (a caller's leg is one)
   uint64_t max_batch = 0;        ///< largest batch popped so far
   uint64_t queue_depth = 0;      ///< instantaneous queued requests
   uint64_t peak_queue_depth = 0; ///< high-water mark of queue_depth
@@ -83,9 +91,10 @@ struct ShardOptions {
   /// GLOBAL interval end, so every shard must keep global coordinates or
   /// replicas of one object would score differently across shards.
   bool localize = true;
-  /// Test hook: runs on the worker thread before each batch executes (no
-  /// lock held). The admission-control tests inject a sleep here to make
-  /// a shard slow; never set in production configs.
+  /// Test hook: runs before each batch executes (no lock held), on the
+  /// thread that executes it: the worker, or a submitter running its own
+  /// leg. The admission-control tests inject a sleep here to make a shard
+  /// slow; never set in production configs.
   std::function<void(size_t shard_index)> batch_hook;
 };
 
@@ -132,13 +141,16 @@ class Shard {
     std::shared_ptr<TopKState> topk;
   };
 
-  /// \brief Enqueue one leg. A query is shed (Unavailable, counted) when
-  /// the queue is at max_queue_depth; an update blocks until there is
-  /// room. Returns OK once queued; otherwise the caller must fail the leg
-  /// with the returned status. The worker reports global ids, and answers
-  /// a top-k leg with the index's TopKQuery (NotSupported for kinds
-  /// without scored postings).
-  Status Submit(Request request);
+  /// \brief Admit one leg. With `caller_may_run` set and the shard idle
+  /// (queue empty, nobody executing), the calling thread takes the
+  /// execution token and runs the leg itself, as a batch of one, before
+  /// returning. Otherwise the leg is queued: a query is shed (Unavailable,
+  /// counted) when the queue is at max_queue_depth; an update blocks until
+  /// there is room. Returns OK once the leg ran or is queued; otherwise
+  /// the caller must fail the leg with the returned status. The executor
+  /// reports global ids, and answers a top-k leg with the index's
+  /// TopKQuery (NotSupported for kinds without scored postings).
+  Status Submit(Request request, bool caller_may_run);
 
   /// \brief Block until the queue is empty and no batch is executing.
   void WaitIdle();
@@ -158,8 +170,12 @@ class Shard {
 
  private:
   void WorkerLoop();
-  /// Runs one popped batch with no shard lock held.
+  /// Runs one batch with no shard lock held; the calling thread holds the
+  /// execution token.
   void ExecuteBatch(std::vector<Request>* batch) IRHINT_EXCLUDES(mu_);
+  /// A submitter's half of the token: run `request` as a batch of one,
+  /// then give the token back (also if the leg throws).
+  void RunOnCaller(Request request) IRHINT_EXCLUDES(mu_);
   void ApplyUpdate(Request* request);
   void ExecuteTopK(Request* request);
 
@@ -173,16 +189,19 @@ class Shard {
   const Interval time_range_;      // unguarded: immutable after construction
   const ShardOptions options_;     // unguarded: immutable after construction
 
-  // Worker-thread-only once Start() ran (bulk build precedes Start on the
-  // constructing thread); quiesced readers must WaitIdle() first.
-  std::unique_ptr<TemporalIrIndex> index_;  // unguarded: worker-owned
-  std::vector<ObjectId> id_map_;            // unguarded: worker-owned
+  // Touched only by the execution-token holder once Start() ran (bulk
+  // build precedes Start on the constructing thread); quiesced readers
+  // must WaitIdle() first.
+  std::unique_ptr<TemporalIrIndex> index_;  // unguarded: token holder's
+  std::vector<ObjectId> id_map_;            // unguarded: token holder's
 
   mutable Mutex mu_{"serve::Shard::queue"};
   CondVar work_cv_;
   CondVar idle_cv_;
   std::deque<Request> queue_ IRHINT_GUARDED_BY(mu_);
   bool stopping_ IRHINT_GUARDED_BY(mu_) = false;
+  // The execution token: held by the worker while it runs a batch, or by
+  // a submitter running its own leg.
   bool executing_ IRHINT_GUARDED_BY(mu_) = false;
 
   // Monitoring counters: relaxed atomics, racy-by-design best-effort reads
@@ -193,6 +212,7 @@ class Shard {
   mutable std::atomic<uint64_t> executed_queries_{0};
   mutable std::atomic<uint64_t> dedup_hits_{0};
   mutable std::atomic<uint64_t> updates_applied_{0};
+  mutable std::atomic<uint64_t> ran_on_caller_{0};
   mutable std::atomic<uint64_t> batches_{0};
   mutable std::atomic<uint64_t> max_batch_{0};
   mutable std::atomic<uint64_t> peak_queue_depth_{0};

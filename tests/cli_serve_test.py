@@ -8,7 +8,9 @@ front end, driven through stdin/stdout the way a client drives it.
 2. A fixed session goes through `irhint_cli serve --index scored-irhint
    --shards 2` and every reply is checked: a Boolean query, a top-k query,
    a top-k query with k = 2^32 - 1, an inverted insert straddling the
-   shard boundary (refused, no id burned), stats and quit.
+   shard boundary (refused, no id burned), stats and quit. The session is
+   one synchronous client, so the engine is quiet for every request and
+   the stats count the legs its thread ran itself.
 3. An unknown --index name must exit non-zero.
 
 Exits 0 when every check holds; otherwise prints each failure and exits 1.
@@ -92,6 +94,15 @@ def main():
         check(insert == f"OK id={OBJECTS}",
               f"insert after the refused one: {insert}")
         check("stat shards 2" in stats, f"stats: {stats}")
+        # The query and both top-k requests cover both shards: shard 0's
+        # leg is queued and shard 1's runs on the caller, since nothing
+        # else touches shard 1. The insert reaches shard 0 alone and runs
+        # there too, unless shard 0's worker still holds the shard after
+        # the last top-k leg.
+        ran = [int(s.split()[2]) for s in stats
+               if s.startswith("stat ran_on_caller ")]
+        check(len(ran) == 1 and 3 <= ran[0] <= 4,
+              f"stat ran_on_caller: {stats}")
         check(bye == "BYE", f"quit: {bye}")
 
         unknown = run(cli, ["serve", "--in", corpus, "--index", "no-such"],

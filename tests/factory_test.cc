@@ -46,6 +46,27 @@ TEST(FactoryTest, EveryKindHasExactlyOneFlagName) {
   }
 }
 
+// An inverted interval covers no time point, so it matches nothing on
+// every kind — including objects that overlap [end, st].
+TEST(FactoryTest, InvertedQueryIntervalMatchesNothingOnEveryKind) {
+  Corpus corpus;
+  corpus.Append(Interval(5, 10), {1, 2});
+  corpus.Append(Interval(0, 100), {1});
+  corpus.Append(Interval(50, 60), {1});
+  ASSERT_TRUE(corpus.Finalize().ok());
+  for (const std::string_view name : IndexKindFlagNames()) {
+    const StatusOr<IndexKind> kind = ParseIndexKind(name);
+    ASSERT_TRUE(kind.ok()) << name;
+    auto index = CreateIndex(*kind);
+    ASSERT_TRUE(index->Build(corpus).ok()) << name;
+    std::vector<ObjectId> out = {42};
+    index->Query(Query(Interval(10, 5), {1}), &out);
+    EXPECT_TRUE(out.empty()) << name;
+    index->Query(Query(Interval(5, 10), {1}), &out);
+    EXPECT_EQ(out.size(), 2u) << name;
+  }
+}
+
 TEST(FactoryTest, ComparisonLineupMatchesFigure11) {
   const auto kinds = ComparisonIndexKinds();
   ASSERT_EQ(kinds.size(), 5u);  // 2 competitors + hybrid + 2 irHINT

@@ -8,13 +8,22 @@
 // directory. The schedule is nondeterministic by design; the workload is
 // seeded and deterministic, so the final expected state is exact.
 //
+// A second hunt drives the serving engine: a durable sharded engine takes
+// the single writer's appends and erases while synchronous clients, a
+// client with futures in flight and a stats reader run beside it, so a
+// shard's execution token keeps changing hands between submitting threads
+// and the shard workers.
+//
 // This is the test the TSan CI job promotes (TSAN_OPTIONS=halt_on_error=1)
 // and the lock-order registry rides along in Debug/sanitizer builds.
 //
 // Knobs (environment variables):
-//   IRHINT_RACE_HUNT_OPS   objects inserted per kind (default 160)
-//   IRHINT_RACE_HUNT_MS    wall-clock budget per kind; past it the threads
-//                          wind down where they are (default 10000)
+//   IRHINT_RACE_HUNT_OPS   objects inserted per kind, and by the serving
+//                          hunt's writer (default 160)
+//   IRHINT_RACE_HUNT_MS    wall-clock budget per kind, and for the serving
+//                          hunt's writer; past it the threads wind down
+//                          where they are (default 10000 per kind, 2000
+//                          for the serving hunt)
 //   IRHINT_RACE_HUNT_SEED  workload RNG seed (default 20260805)
 
 #include <algorithm>
@@ -35,6 +44,7 @@
 #include "core/durable_index.h"
 #include "core/factory.h"
 #include "core/integrity.h"
+#include "serve/engine.h"
 
 namespace irhint {
 namespace {
@@ -82,6 +92,20 @@ Ids Answer(const TemporalIrIndex& index, const Query& query) {
   index.Query(query, &out);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// A NaiveScan holding exactly `objects` (ascending ids).
+std::unique_ptr<TemporalIrIndex> NaiveScanOf(
+    const std::vector<Object>& objects) {
+  std::unique_ptr<TemporalIrIndex> naive = CreateIndex(IndexKind::kNaiveScan);
+  Corpus empty;
+  empty.DeclareDomain(1);
+  EXPECT_TRUE(empty.Finalize().ok());
+  EXPECT_TRUE(naive->Build(empty).ok());
+  for (const Object& object : objects) {
+    EXPECT_TRUE(naive->Insert(object).ok());
+  }
+  return naive;
 }
 
 class RaceHuntTest : public ::testing::TestWithParam<IndexKind> {};
@@ -271,6 +295,144 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The serving hunt. The engine is durable, 2 time shards x 2 term buckets,
+// built over `ops` objects. The single writer appends `ops` more and
+// erases every third built one; two synchronous clients, a client that
+// submits bursts before it collects them, and a Stats/WaitIdle reader run
+// beside it. While the writer runs, an answer must lie between the answer
+// over the objects no update touches and the answer over every object the
+// run ever holds, as servebench checks ingest_mixed. Once the writer is
+// done and the engine idle, answers equal a NaiveScan mirror exactly.
+TEST(ServeRaceHuntTest, WriterAndClientsStayConsistent) {
+  const uint64_t ops = EnvKnob("IRHINT_RACE_HUNT_OPS", 160);
+  const uint64_t budget_ms = EnvKnob("IRHINT_RACE_HUNT_MS", 2000);
+  const uint64_t seed = EnvKnob("IRHINT_RACE_HUNT_SEED", 20260805);
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " ops=" + std::to_string(ops));
+
+  std::mt19937_64 rng(seed);
+  std::vector<Object> objects;
+  objects.reserve(2 * ops);
+  for (uint64_t i = 0; i < 2 * ops; ++i) {
+    objects.push_back(HuntObject(static_cast<ObjectId>(i), &rng));
+  }
+  const std::vector<Query> queries = HuntQueries(&rng);
+  Corpus built;
+  std::vector<Object> untouched;  // built objects the writer never erases
+  for (uint64_t i = 0; i < ops; ++i) {
+    built.Append(objects[i].interval, objects[i].elements);
+    if (i % 3 != 0) untouched.push_back(objects[i]);
+  }
+  ASSERT_TRUE(built.Finalize().ok());
+  std::vector<Ids> lower, upper;
+  {
+    const std::unique_ptr<TemporalIrIndex> stable = NaiveScanOf(untouched);
+    const std::unique_ptr<TemporalIrIndex> every = NaiveScanOf(objects);
+    for (const Query& query : queries) {
+      lower.push_back(Answer(*stable, query));
+      upper.push_back(Answer(*every, query));
+    }
+  }
+
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/race_hunt_serve";
+  std::filesystem::remove_all(dir);
+  serve::ServeOptions options;
+  options.time_shards = 2;
+  options.term_buckets = 2;
+  options.wal_dir = dir;
+  auto engine = serve::ServeEngine::Create(built, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  serve::ServeEngine* server = engine->get();
+
+  // Read by the main thread only after the writer is joined.
+  uint64_t inserted = 0;
+  std::vector<ObjectId> erased;
+  std::atomic<uint64_t> writer_failures{0};
+  std::atomic<uint64_t> wrong_answers{0};
+  std::atomic<bool> stop{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
+
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < ops; ++i) {
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      const Object& object = objects[ops + i];
+      const StatusOr<ObjectId> id =
+          server->AppendInsert(object.interval, object.elements);
+      if (!id.ok() || *id != object.id) ++writer_failures;
+      ++inserted;
+      if (i % 3 == 0) {
+        if (!server->Erase(objects[i]).ok()) ++writer_failures;
+        erased.push_back(objects[i].id);
+      }
+    }
+  });
+  const auto check = [&](size_t q, const StatusOr<Ids>& got) {
+    if (!got.ok() ||
+        !std::includes(got->begin(), got->end(), lower[q].begin(),
+                       lower[q].end()) ||
+        !std::includes(upper[q].begin(), upper[q].end(), got->begin(),
+                       got->end())) {
+      ++wrong_answers;
+    }
+  };
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t q = c; !stop.load(); q = (q + 1) % queries.size()) {
+        check(q, server->Execute(queries[q]));
+      }
+    });
+  }
+  clients.emplace_back([&] {
+    constexpr size_t kBurst = 8;
+    for (size_t first = 0; !stop.load(); first += kBurst) {
+      std::vector<serve::ResultFuture> futures;
+      for (size_t i = 0; i < kBurst; ++i) {
+        futures.push_back(
+            server->Submit(queries[(first + i) % queries.size()]));
+      }
+      for (size_t i = 0; i < kBurst; ++i) {
+        check((first + i) % queries.size(), futures[i].Get());
+      }
+    }
+  });
+  clients.emplace_back([&] {
+    while (!stop.load()) {
+      (void)server->Stats();
+      server->WaitIdle();
+      std::this_thread::yield();
+    }
+  });
+
+  writer.join();
+  stop.store(true);
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(writer_failures.load(), 0u);
+  EXPECT_EQ(wrong_answers.load(), 0u)
+      << "an answer fell outside the before/after bounds mid-ingest";
+
+  server->WaitIdle();
+  std::vector<Object> live;
+  for (uint64_t i = 0; i < ops + inserted; ++i) {
+    if (!std::binary_search(erased.begin(), erased.end(), objects[i].id)) {
+      live.push_back(objects[i]);
+    }
+  }
+  const std::unique_ptr<TemporalIrIndex> mirror = NaiveScanOf(live);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const StatusOr<Ids> got = server->Execute(queries[q]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, Answer(*mirror, queries[q])) << "query " << q;
+  }
+  const serve::EngineStats stats = server->Stats();
+  EXPECT_EQ(stats.total_shed, 0u);
+  EXPECT_EQ(stats.total_completed, stats.total_submitted);
+  EXPECT_GT(stats.total_ran_on_caller, 0u);
+  engine->reset();
+  std::filesystem::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace irhint

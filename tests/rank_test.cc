@@ -372,6 +372,29 @@ TEST(ServeTopKTest, EngineMatchesDirectIndexAcrossGeometries) {
   }
 }
 
+// On a quiet engine (no other future open, target shard idle) a ranked
+// request's leg runs on the caller and answers like the oracle.
+TEST(ServeTopKTest, QuietEngineRunsTheLegOnTheCaller) {
+  const Corpus corpus = MakeCorpus(800);
+  serve::ServeOptions options;
+  options.time_shards = 1;
+  options.kind = IndexKind::kScoredIrHint;
+  StatusOr<std::unique_ptr<serve::ServeEngine>> engine =
+      serve::ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ScoredIndex oracle(ScoredIndexOptions{}, IndexConfig{});
+  ASSERT_TRUE(oracle.Build(corpus).ok());
+
+  const Query query = MakeQueries(corpus).front();
+  StatusOr<Hits> got = (*engine)->ExecuteTopK(query, 10);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, MustOracle(oracle, query, 10));
+  EXPECT_FALSE(got->empty());
+  const serve::EngineStats stats = (*engine)->Stats();
+  EXPECT_EQ(stats.total_submitted, 1u);
+  EXPECT_EQ(stats.total_ran_on_caller, 1u);
+}
+
 TEST(ServeTopKTest, LiveUpdatesStayConsistent) {
   const Corpus corpus = MakeCorpus(800);
   serve::ServeOptions options;

@@ -2,15 +2,19 @@
 // against a NaiveScan ground truth and a 1-shard engine, every request
 // kind at the router's edges against the direct index, the Boolean merge
 // against sort + unique on random legs, batching and duplicate
-// coalescing, admission control under a slow-shard fault, live updates
-// through the shard queues, durable mode, and the line-oriented server
-// loop.
+// coalescing, admission control under a slow-shard fault, who runs a leg
+// (the caller on a quiet engine, the worker otherwise) and the hand-off
+// between the two, live updates through the shard queues, durable mode,
+// and the line-oriented server loop.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -632,7 +636,7 @@ TEST(ServeEngineTest, BatchingCoalescesDuplicateQueries) {
   const Query popular(Interval(0, 100000), {2});
   std::vector<ResultFuture> futures;
   for (int i = 0; i < 100; ++i) futures.push_back((*engine)->Submit(popular));
-  Ids first = MustGet(futures.front());
+  Ids first = MustGet(std::move(futures.front()));
   for (size_t i = 1; i < futures.size(); ++i) {
     EXPECT_EQ(MustGet(std::move(futures[i])), first);
   }
@@ -641,6 +645,255 @@ TEST(ServeEngineTest, BatchingCoalescesDuplicateQueries) {
   EXPECT_GT(stats.total_dedup_hits, 0u);
   EXPECT_LT(stats.total_batches, 100u);
   EXPECT_EQ(stats.total_executed_queries + stats.total_dedup_hits, 100u);
+}
+
+// The sorted NaiveScan answer to `query` over `corpus`.
+Ids OracleIds(const Corpus& corpus, const Query& query) {
+  std::unique_ptr<TemporalIrIndex> naive = CreateIndex(IndexKind::kNaiveScan);
+  EXPECT_TRUE(naive->Build(corpus).ok());
+  Ids want;
+  naive->Query(query, &want);
+  std::sort(want.begin(), want.end());
+  return want;
+}
+
+// A query over [st, end] with the first element of the first object
+// overlapping it, so the answer is never empty.
+Query MatchingQuery(const Corpus& corpus, Time st, Time end) {
+  for (const Object& object : corpus.objects()) {
+    if (Overlaps(object.interval, Interval(st, end))) {
+      return Query(Interval(st, end), {object.elements.front()});
+    }
+  }
+  ADD_FAILURE() << "no object overlaps [" << st << ", " << end << "]";
+  return Query(Interval(st, end), {});
+}
+
+// Polls `done` for up to ten seconds, so a lost wake-up fails a test
+// instead of hanging it.
+bool Eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Who runs a leg (DESIGN.md §11): on a quiet engine (no other future
+// open, target shard idle) the caller runs its request's last leg and
+// queues the others, so a single-shard query runs entirely on the caller
+// and a query over three of four time shards runs one leg there.
+TEST(ServeEngineTest, QuietEngineRunsTheLastLegOnTheCaller) {
+  const Corpus corpus = TestCorpus();
+  ServeOptions options;
+  options.time_shards = 4;
+  for (const uint32_t first_shard : {1u, 0u}) {
+    const uint32_t last_shard = first_shard == 1 ? 1 : 2;
+    StatusOr<std::unique_ptr<ServeEngine>> engine =
+        ServeEngine::Create(corpus, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const Query query = MatchingQuery(
+        corpus, (*engine)->shard_time_range(first_shard).st + 100,
+        (*engine)->shard_time_range(last_shard).st + 100);
+    SCOPED_TRACE("time shards " + std::to_string(first_shard) + ".." +
+                 std::to_string(last_shard));
+
+    EXPECT_EQ(MustGet((*engine)->Submit(query)), OracleIds(corpus, query));
+    (*engine)->WaitIdle();
+    const EngineStats stats = (*engine)->Stats();
+    EXPECT_EQ(stats.total_submitted, last_shard - first_shard + 1);
+    EXPECT_EQ(stats.total_ran_on_caller, 1u);
+    EXPECT_EQ(stats.shards[last_shard].ran_on_caller, 1u);
+    EXPECT_EQ(stats.total_batches, stats.total_submitted);
+  }
+}
+
+// A client with requests in flight keeps the queue: of 64 Submits made
+// before any Get(), only the first finds no other future open and runs on
+// the caller. Every answer still matches the oracle.
+TEST(ServeEngineTest, OpenFuturesKeepTheQueue) {
+  const Corpus corpus = TestCorpus();
+  const std::vector<Query> queries = TestQueries(corpus);
+  ServeOptions options;
+  options.time_shards = 3;
+  options.term_buckets = 2;
+  StatusOr<std::unique_ptr<ServeEngine>> engine =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::vector<ResultFuture> futures;
+  for (size_t i = 0; i < 64; ++i) {
+    futures.push_back((*engine)->Submit(queries[i % queries.size()]));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(MustGet(std::move(futures[i])),
+              OracleIds(corpus, queries[i % queries.size()]))
+        << "query " << i;
+  }
+  (*engine)->WaitIdle();
+  EXPECT_EQ((*engine)->Stats().total_ran_on_caller, 1u);
+}
+
+// The hand-off between a caller-run leg and the worker: while the caller
+// holds the shard's execution token (parked in the batch hook), a second
+// request to the same shard must queue, and the worker may run it only
+// after the token is released. WaitIdle() waits for both.
+TEST(ServeEngineTest, CallerRunLegHandsQueuedWorkToTheWorker) {
+  const Corpus corpus = TestCorpus(300);
+  std::atomic<int> batches{0};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  ServeOptions options;
+  options.time_shards = 1;
+  options.batch_hook = [&](size_t) {
+    if (batches.fetch_add(1) > 0) return;
+    parked = true;
+    EXPECT_TRUE(Eventually([&] { return release.load(); }));
+  };
+  StatusOr<std::unique_ptr<ServeEngine>> engine =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Query first(Interval(0, 200000), {1});
+  const Query second(Interval(0, 100000), {2});
+
+  Ids first_ids;
+  std::thread caller([&] { first_ids = MustGet((*engine)->Submit(first)); });
+  if (!Eventually([&] { return parked.load(); })) {
+    ADD_FAILURE() << "the caller-run leg never reached the batch hook";
+    release = true;
+    caller.join();
+    return;
+  }
+  ResultFuture queued = (*engine)->Submit(second);
+  std::atomic<bool> idle{false};
+  std::thread idler([&] {
+    (*engine)->WaitIdle();
+    idle = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EngineStats stats = (*engine)->Stats();
+  EXPECT_EQ(stats.total_ran_on_caller, 1u);
+  EXPECT_EQ(stats.max_queue_depth, 1u);  // the worker waits for the token
+  EXPECT_FALSE(queued.Ready());
+  EXPECT_FALSE(idle.load());
+
+  release = true;
+  EXPECT_TRUE(Eventually([&] { return queued.Ready(); }));
+  EXPECT_TRUE(Eventually([&] { return idle.load(); }));
+  // A lost wake-up leaves the worker asleep with the leg queued; a fresh
+  // submission wakes it, so the joins below return and the test fails
+  // above instead of hanging here.
+  if (!idle.load()) (*engine)->Submit(second);
+  caller.join();
+  idler.join();
+
+  EXPECT_EQ(first_ids, OracleIds(corpus, first));
+  EXPECT_EQ(MustGet(std::move(queued)), OracleIds(corpus, second));
+  stats = (*engine)->Stats();
+  EXPECT_EQ(stats.total_ran_on_caller, 1u);
+  EXPECT_EQ(stats.total_batches, 2u);
+  EXPECT_EQ(stats.max_queue_depth, 0u);
+}
+
+// Condition (b) alone: a client whose other futures have all retired
+// (one resolved, one abandoned while its leg still runs on the worker)
+// finds no future open, but the shard is busy, so its leg must queue
+// behind the worker's batch instead of running beside it.
+TEST(ServeEngineTest, BusyShardQueuesTheLegOfAQuietClient) {
+  const Corpus corpus = TestCorpus(300);
+  std::atomic<int> batches{0};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  ServeOptions options;
+  options.time_shards = 1;
+  options.batch_hook = [&](size_t) {
+    if (batches.fetch_add(1) != 1) return;  // park the worker's batch
+    parked = true;
+    EXPECT_TRUE(Eventually([&] { return release.load(); }));
+  };
+  StatusOr<std::unique_ptr<ServeEngine>> engine =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Query query(Interval(0, 100000), {2});
+
+  ResultFuture on_caller = (*engine)->Submit(query);
+  {
+    ResultFuture abandoned = (*engine)->Submit(query);  // queued: one open
+  }
+  ASSERT_TRUE(Eventually([&] { return parked.load(); }));
+  EXPECT_EQ(MustGet(std::move(on_caller)), OracleIds(corpus, query));
+  ResultFuture queued = (*engine)->Submit(query);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(queued.Ready());
+  EXPECT_EQ((*engine)->Stats().total_ran_on_caller, 1u);
+
+  release = true;
+  EXPECT_TRUE(Eventually([&] { return queued.Ready(); }));
+  EXPECT_EQ(MustGet(std::move(queued)), OracleIds(corpus, query));
+  (*engine)->WaitIdle();
+  EXPECT_EQ((*engine)->Stats().total_batches, 3u);
+}
+
+// Stop() wakes the worker while a submitter holds the execution token
+// (parked in the batch hook) and a leg is queued behind it. The worker
+// must wait for the token before it drains the queue, and Stop() returns
+// only after both legs ran.
+TEST(ShardTest, StopWaitsForTheTokenHolder) {
+  const Corpus corpus = TestCorpus(300);
+  std::unique_ptr<TemporalIrIndex> index = CreateIndex(IndexKind::kNaiveScan);
+  ASSERT_TRUE(index->Build(corpus).ok());
+  std::vector<ObjectId> id_map(corpus.size());
+  std::iota(id_map.begin(), id_map.end(), ObjectId{0});
+  std::atomic<int> batches{0};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  ShardOptions options;
+  options.batch_hook = [&](size_t) {
+    if (batches.fetch_add(1) > 0) return;
+    parked = true;
+    EXPECT_TRUE(Eventually([&] { return release.load(); }));
+  };
+  Shard shard(0, Interval(0, std::numeric_limits<Time>::max()),
+              std::move(index), std::move(id_map), options);
+  shard.Start();
+  const auto leg = [](std::shared_ptr<ResultState> state) {
+    Shard::Request request;
+    request.query = Query(Interval(0, 200000), {1});
+    request.result = std::move(state);
+    return request;
+  };
+  const auto first = std::make_shared<ResultState>(1);
+  const auto second = std::make_shared<ResultState>(1);
+
+  std::thread caller([&] {
+    EXPECT_TRUE(shard.Submit(leg(first), /*caller_may_run=*/true).ok());
+  });
+  if (!Eventually([&] { return parked.load(); })) {
+    ADD_FAILURE() << "the caller-run leg never reached the batch hook";
+    release = true;
+    caller.join();
+    return;
+  }
+  EXPECT_TRUE(shard.Submit(leg(second), /*caller_may_run=*/true).ok());
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    shard.Stop();
+    stopped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(batches.load(), 1) << "the worker ran beside the token holder";
+  EXPECT_FALSE(stopped.load());
+  EXPECT_EQ(shard.Stats().ran_on_caller, 1u);
+
+  release = true;
+  EXPECT_TRUE(Eventually([&] { return stopped.load(); }));
+  caller.join();
+  stopper.join();
+  EXPECT_EQ(batches.load(), 2);
+  EXPECT_TRUE(first->Ready());
+  EXPECT_TRUE(second->Ready());
 }
 
 TEST(ServeEngineTest, RejectsInvalidOptions) {
